@@ -111,57 +111,6 @@ let policy ?(priority = Priority.fifo) ?(tracer = Tracer.null)
     next_launch;
   }
 
-(* The seed's sorted-list implementation, kept verbatim as the differential
-   oracle: O(n) insert, O(n) scan, and a fresh Task.analyze both in on_ready
-   and inside the allocator.  The trace-equivalence property test and the
-   scalability benchmark run it against the heap-backed policy above. *)
-let policy_reference ?(priority = Priority.fifo) ~allocator ~p () =
-  let queue : Priority.item list ref = ref [] in
-  let next_seq = ref 0 in
-  let insert item =
-    let rec go = function
-      | [] -> [ item ]
-      | x :: rest ->
-        if priority.Priority.compare item x < 0 then item :: x :: rest
-        else x :: go rest
-    in
-    queue := go !queue
-  in
-  let on_ready ~now:_ task =
-    let a = Task.analyze ~p task in
-    let alloc = allocator.Allocator.allocate ~p task in
-    insert
-      {
-        Priority.task;
-        alloc;
-        t_min = a.Task.t_min;
-        seq =
-          (let s = !next_seq in
-           incr next_seq;
-           s);
-      }
-  in
-  let next_launch ~now:_ ~free =
-    (* List scheduling: first task in priority order that fits. *)
-    let rec extract acc = function
-      | [] -> None
-      | (x : Priority.item) :: rest ->
-        if x.Priority.alloc <= free then begin
-          queue := List.rev_append acc rest;
-          Some (x.Priority.task.Task.id, x.Priority.alloc)
-        end
-        else extract (x :: acc) rest
-    in
-    extract [] !queue
-  in
-  {
-    Engine.name =
-      Printf.sprintf "online-ref[%s, %s]" allocator.Allocator.name
-        priority.Priority.name;
-    on_ready;
-    next_launch;
-  }
-
 let run ?priority ?(allocator = Allocator.algorithm2_per_model) ?release_times
     ?registry ?arena ?lean ~p dag =
   Engine.run ?release_times ?registry ?arena ?lean ~p

@@ -40,16 +40,10 @@ val policy :
     over allocations [1, free]: O(log P + log n) per insert and launch,
     O(log P) for the "nothing fits" probe.  Every rule carries a seq
     tie-break, so the order is total and the launch sequence matches the
-    sorted-list formulation exactly.  Each revealed task is analyzed once
-    through a {!Moldable_model.Task.Cache} shared with the allocator. *)
-
-val policy_reference :
-  ?priority:Priority.t -> allocator:Allocator.t -> p:int -> unit ->
-  Engine.policy
-(** The original sorted-list implementation (O(n) insert and scan, no
-    analysis cache), retained as the differential-testing oracle and the
-    baseline of the scalability benchmark.  Produces the same launch order
-    as {!policy} on every input. *)
+    sorted-list formulation exactly (the seed's sorted list, kept in
+    test/test_scheduler_equiv.ml, is its differential oracle).  Each
+    revealed task is analyzed once through a {!Moldable_model.Task.Cache}
+    shared with the allocator. *)
 
 val run :
   ?priority:Priority.t -> ?allocator:Allocator.t ->

@@ -1,30 +1,16 @@
-(* The shared length-0 sentinel marking an empty pool slot: no real block
-   has length 0 ([acquire] requires n >= 1), so physical equality with
-   [no_block] is unambiguous. *)
-let no_block : int array = [||]
-
 type t = {
   size : int;
   free : bool array;
   mutable n_free : int;
   mutable scan_hint : int; (* smallest index possibly free *)
-  pool : int array array;
-      (* one recycled block per size, indexed by length; [no_block] = empty *)
 }
 
 let create p =
   if p < 1 then invalid_arg "Platform.create: need at least one processor";
-  {
-    size = p;
-    free = Array.make p true;
-    n_free = p;
-    scan_hint = 0;
-    pool = Array.make (p + 1) no_block;
-  }
+  { size = p; free = Array.make p true; n_free = p; scan_hint = 0 }
 
 let p t = t.size
 let free_count t = t.n_free
-let busy_count t = t.size - t.n_free
 
 let acquire t n =
   if n < 1 then invalid_arg "Platform.acquire: need a positive allocation";
@@ -32,14 +18,7 @@ let acquire t n =
     invalid_arg
       (Printf.sprintf "Platform.acquire: %d requested but only %d free" n
          t.n_free);
-  let ids =
-    let cached = t.pool.(n) in
-    if cached != no_block then begin
-      t.pool.(n) <- no_block;
-      cached
-    end
-    else Array.make n 0
-  in
+  let ids = Array.make n 0 in
   let rec scan i found =
     if found = n then i
     else if t.free.(i) then begin
@@ -72,16 +51,7 @@ let release t ids =
   done;
   t.n_free <- t.n_free + Array.length ids
 
-let recycle t ids =
-  release t ids;
-  t.pool.(Array.length ids) <- ids
-
 let reset t =
   Array.fill t.free 0 t.size true;
   t.n_free <- t.size;
   t.scan_hint <- 0
-
-let is_free t i =
-  if i < 0 || i >= t.size then
-    invalid_arg (Printf.sprintf "Platform.is_free: bad processor id %d" i);
-  t.free.(i)

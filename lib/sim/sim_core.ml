@@ -74,7 +74,7 @@ let dummy_task = Task.make ~label:"-" ~id:0 (Speedup.Roofline { w = 1.; ptilde =
 
 (* All per-run storage in one reusable bundle: the event heap, the per-task
    bookkeeping arrays, the incremental task/edge store of the stepper, the
-   recording buffers and the platform (with its recycled-segment pool).
+   recording buffers and the platform.
    [ensure] grows everything to the (p, n) high-water mark; nothing
    shrinks, so a pool domain that sweeps many cells allocates the arrays
    once and reuses them for every run. *)
@@ -258,7 +258,7 @@ let validate_inputs ?release_times ~max_attempts ~n () =
    and the virtual clock advances in bounded steps.  The batch [run] below
    is a thin loop over this module — create, admit every task of the DAG
    in id order, drain — and the differential suite pins that composition
-   bit-identical to [run_reference]. *)
+   bit-identical to the plain reference loop in test/test_sim_core.ml. *)
 module Stepper = struct
   type t = {
     policy : policy;
@@ -274,11 +274,6 @@ module Stepper = struct
     arena : Arena.t;
     platform : Platform.t;
     events : Event_queue.t;
-    recycle_ok : bool;
-        (* A failed attempt's processor block can return to the platform's
-           segment pool only when nothing retains it: lean mode keeps no
-           attempt records, and a live tracer would capture the block in
-           its spans. *)
     counters : Metrics.counters;
     (* One-cell float arrays, not mutable float fields: in a mixed record a
        float-field store allocates a box, a float-array store does not, and
@@ -343,7 +338,6 @@ module Stepper = struct
       arena = a;
       platform = Option.get a.Arena.platform;
       events = a.Arena.events;
-      recycle_ok = lean && not traced;
       counters = Metrics.make_counters ();
       ms = Array.make 1 0.;
       now_cell = Array.make 1 0.;
@@ -566,8 +560,7 @@ module Stepper = struct
       unlock_edges st now (Growbuf.I.get a.Arena.edge_next e)
     end
 
-  (* One scheduling instant, in the same three phases as the reference
-     loop.  Precondition: [Event_queue.pop_batch] just returned [blen > 0]. *)
+  (* One scheduling instant, in three phases.  Precondition: [Event_queue.pop_batch] just returned [blen > 0]. *)
   let process_batch st blen =
     let events = st.events in
     let now = Event_queue.batch_time events in
@@ -612,16 +605,14 @@ module Stepper = struct
           Tracer.record_span st.tracer ~task_id:tid ~attempt ~t0:start
             ~t1:now ~procs ~failed;
         if now > st.ms.(0) then st.ms.(0) <- now;
+        Platform.release st.platform procs;
         if failed then begin
-          if st.recycle_ok then Platform.recycle st.platform procs
-          else Platform.release st.platform procs;
           st.n_failures <- st.n_failures + 1;
           st.counters.Metrics.retries <- st.counters.Metrics.retries + 1;
           if st.recording then record_ev st now ev_failed tid attempt;
           outcomes.(k) <- 1
         end
         else begin
-          Platform.release st.platform procs;
           state.(tid) <- st_done;
           st.completed <- st.completed + 1;
           if st.recording then record_ev st now ev_finish tid 0;
@@ -700,7 +691,10 @@ module Stepper = struct
       | Some _ | None -> ()
     in
     loop ();
-    if until > st.now_cell.(0) then st.now_cell.(0) <- until;
+    (* An infinite horizon leaves the clock at the last processed instant:
+       a later admission is revealed, and launched, at a finite time. *)
+    if Float.is_finite until && until > st.now_cell.(0) then
+      st.now_cell.(0) <- until;
     !batches
 
   let finalize st =
@@ -929,283 +923,3 @@ let run ?release_times ?(seed = 0) ?(max_attempts = max_int)
   | exception e ->
     Stepper.abandon st;
     raise e
-
-(* ----------------------------------------------------- reference event loop *)
-
-(* The pre-arena event loop, kept verbatim as the differential oracle for
-   the allocation-lean [run] above (the same pattern as
-   [Online_scheduler.policy_reference]): boxed event records on a
-   closure-compared [Pqueue], cons-list trace/attempts/depth-sample
-   recording, a fresh platform and fresh arrays per run.  The qcheck
-   properties in test/test_sim_core.ml pin [run] to it across priority
-   rules, allocators, failure models and release times, and bench section
-   [alloc_lean] measures the allocation delta between the two. *)
-
-module Ref_queue = struct
-  type 'a item = { time : float; seq : int; payload : 'a }
-  type 'a t = { heap : 'a item Pqueue.t; mutable next_seq : int }
-
-  let cmp a b =
-    match Float.compare a.time b.time with
-    | 0 -> Int.compare a.seq b.seq
-    | c -> c
-
-  let create () = { heap = Pqueue.create ~cmp; next_seq = 0 }
-
-  let add t ~time payload =
-    if not (Float.is_finite time) then
-      invalid_arg "Event_queue.add: time must be finite";
-    Pqueue.push t.heap { time; seq = t.next_seq; payload };
-    t.next_seq <- t.next_seq + 1
-
-  let pop t =
-    Option.map (fun i -> (i.time, i.payload)) (Pqueue.pop t.heap)
-
-  let pop_simultaneous t =
-    match pop t with
-    | None -> None
-    | Some (time, first) ->
-      let rec gather latest acc =
-        match Pqueue.peek t.heap with
-        | Some i when Fcmp.approx ~eps:Event_queue.batch_eps i.time time ->
-          let i = Pqueue.pop_exn t.heap in
-          gather i.time (i.payload :: acc)
-        | Some _ | None -> (latest, List.rev acc)
-      in
-      let latest, batch = gather time [ first ] in
-      Some (latest, batch)
-end
-
-type ref_state = Unrevealed | Available | Running | Done
-
-type ref_event =
-  | RComplete of { tid : int; attempt : int; start : float; finish : float;
-                   procs : int array }
-  | RReveal of int
-
-let run_reference ?release_times ?(seed = 0) ?(max_attempts = max_int)
-    ?(failures = never) ?(tracer = Tracer.null)
-    ?(registry = Moldable_obs.Registry.null) ~p policy dag =
-  let n = Dag.n dag in
-  let traced = Tracer.enabled tracer in
-  validate_inputs ?release_times ~max_attempts ~n ();
-  let release i =
-    match release_times with None -> 0. | Some r -> r.(i)
-  in
-  let rng = Rng.create seed in
-  let platform = Platform.create p in
-  let builder = Schedule.builder ~p ~n in
-  let events = Ref_queue.create () in
-  let state = Array.make n Unrevealed in
-  let indeg = Array.init n (Dag.in_degree dag) in
-  let attempt_no = Array.make n 0 in
-  let completed = ref 0 in
-  let trace = ref [] in
-  let attempts = ref [] in
-  let n_failures = ref 0 in
-  let counters = Metrics.make_counters () in
-  let ready_count = ref 0 in
-  let depth_samples = ref [] in
-  let first_ready = Array.make n nan in
-  let first_start = Array.make n nan in
-  let service = Array.make n 0. in
-  let record now ev = trace := (now, ev) :: !trace in
-  let fail fmt =
-    Printf.ksprintf
-      (fun s -> raise (Policy_error (policy.name ^ ": " ^ s)))
-      fmt
-  in
-  let reveal now i =
-    state.(i) <- Available;
-    incr ready_count;
-    if Float.is_nan first_ready.(i) then first_ready.(i) <- now;
-    record now (Ready i);
-    if traced then
-      Tracer.record_instant tracer ~time:now ~kind:Tracer.Ready ~subject:i;
-    policy.on_ready ~now (Dag.task dag i)
-  in
-  let reveal_or_defer now i =
-    if release i <= now then reveal now i
-    else begin
-      if traced then
-        Tracer.record_instant tracer ~time:now ~kind:Tracer.Deferred
-          ~subject:i;
-      Ref_queue.add events ~time:(release i) (RReveal i)
-    end
-  in
-  let launch_round_untimed now =
-    let rec loop () =
-      let free = Platform.free_count platform in
-      if free > 0 then
-        match policy.next_launch ~now ~free with
-        | None ->
-          counters.Metrics.stall_checks <- counters.Metrics.stall_checks + 1;
-          if traced && !ready_count > 0 then
-            Tracer.record_instant tracer ~time:now ~kind:Tracer.Stall
-              ~subject:(-1)
-        | Some (tid, nprocs) ->
-          if tid < 0 || tid >= n then fail "launched unknown task %d" tid;
-          (match state.(tid) with
-          | Available -> ()
-          | Unrevealed -> fail "launched unrevealed task %d" tid
-          | Running -> fail "launched running task %d" tid
-          | Done -> fail "launched completed task %d" tid);
-          if nprocs < 1 then fail "task %d launched on %d procs" tid nprocs;
-          if nprocs > free then
-            fail "task %d needs %d procs but only %d are free" tid nprocs free;
-          if attempt_no.(tid) >= max_attempts then
-            failwith
-              (Printf.sprintf
-                 "Sim_core.run: task %d reached the attempt limit (%d \
-                  attempts, all failed) under failure model %s"
-                 tid max_attempts failures.model_name);
-          let procs = Platform.acquire platform nprocs in
-          let duration = Task.time (Dag.task dag tid) nprocs in
-          state.(tid) <- Running;
-          decr ready_count;
-          attempt_no.(tid) <- attempt_no.(tid) + 1;
-          if Float.is_nan first_start.(tid) then first_start.(tid) <- now;
-          counters.Metrics.launches <- counters.Metrics.launches + 1;
-          record now (Start (tid, nprocs));
-          Ref_queue.add events
-            ~time:(now +. duration)
-            (RComplete
-               { tid; attempt = attempt_no.(tid); start = now;
-                 finish = now +. duration; procs });
-          loop ()
-    in
-    loop ()
-  in
-  let launch_round now =
-    if traced then
-      Tracer.timed tracer "launch-round" (fun () -> launch_round_untimed now)
-    else launch_round_untimed now
-  in
-  let sample_depth now =
-    depth_samples := (now, !ready_count) :: !depth_samples
-  in
-  List.iter (reveal_or_defer 0.) (Dag.sources dag);
-  launch_round 0.;
-  sample_depth 0.;
-  let event_loop () =
-    while !completed < n do
-      match Ref_queue.pop_simultaneous events with
-      | None ->
-        fail "stalled: %d of %d tasks completed but nothing is running"
-          !completed n
-      | Some (now, batch) ->
-        counters.Metrics.batches <- counters.Metrics.batches + 1;
-        counters.Metrics.events <- counters.Metrics.events + List.length batch;
-        let outcomes =
-          List.map
-            (function
-              | RComplete { tid; attempt; start; finish; procs } ->
-                Platform.release platform procs;
-                let failed = failures.fails rng ~task_id:tid ~attempt in
-                attempts :=
-                  { task_id = tid; attempt; start; finish = now;
-                    nprocs = Array.length procs; procs; failed }
-                  :: !attempts;
-                if traced then
-                  Tracer.record_span tracer ~task_id:tid ~attempt ~t0:start
-                    ~t1:now ~procs ~failed;
-                service.(tid) <- service.(tid) +. (now -. start);
-                if failed then begin
-                  incr n_failures;
-                  counters.Metrics.retries <- counters.Metrics.retries + 1;
-                  record now (Failed (tid, attempt));
-                  `Failed tid
-                end
-                else begin
-                  state.(tid) <- Done;
-                  incr completed;
-                  record now (Finish tid);
-                  Schedule.add builder
-                    { Schedule.task_id = tid; start; finish;
-                      nprocs = Array.length procs; procs };
-                  `Succeeded tid
-                end
-              | RReveal i -> `Revealed i)
-            batch
-        in
-        List.iter
-          (function
-            | `Failed tid -> reveal now tid
-            | `Revealed i -> reveal now i
-            | `Succeeded _ -> ())
-          outcomes;
-        List.iter
-          (function
-            | `Succeeded tid ->
-              List.iter
-                (fun j ->
-                  indeg.(j) <- indeg.(j) - 1;
-                  if indeg.(j) = 0 then reveal_or_defer now j)
-                (Dag.successors dag tid)
-            | `Failed _ | `Revealed _ -> ())
-          outcomes;
-        launch_round now;
-        sample_depth now
-    done
-  in
-  if traced then Tracer.timed tracer "event-loop" event_loop
-  else event_loop ();
-  let attempts =
-    List.sort
-      (fun x y ->
-        match Float.compare x.start y.start with
-        | 0 -> (
-          match Int.compare x.task_id y.task_id with
-          | 0 -> Int.compare x.attempt y.attempt
-          | c -> c)
-        | c -> c)
-      !attempts
-  in
-  let schedule = Schedule.finalize builder in
-  let makespan =
-    List.fold_left (fun acc at -> Float.max acc at.finish) 0. attempts
-  in
-  let tasks =
-    Array.init n (fun i ->
-        {
-          Metrics.task_id = i;
-          ready = first_ready.(i);
-          start = first_start.(i);
-          finish = (Schedule.placement schedule i).Schedule.finish;
-          wait = first_start.(i) -. first_ready.(i);
-          service = service.(i);
-          attempts = attempt_no.(i);
-        })
-  in
-  let spans = List.map (fun at -> (at.start, at.finish, at.nprocs)) attempts in
-  let metrics =
-    Metrics.build ~p ~counters ~queue_depth:(List.rev !depth_samples) ~tasks
-      ~spans
-  in
-  (let module R = Moldable_obs.Registry in
-   if R.enabled registry then begin
-     let c name help v =
-       R.incr_by (R.counter registry ~name ~help) (float_of_int v)
-     in
-     c "moldable_sim_events" "Simulation events processed"
-       counters.Metrics.events;
-     c "moldable_sim_batches" "Simultaneous-completion batches processed"
-       counters.Metrics.batches;
-     c "moldable_sim_launches" "Task attempts launched"
-       counters.Metrics.launches;
-     c "moldable_sim_retries" "Failed attempts re-queued for retry"
-       counters.Metrics.retries;
-     c "moldable_sim_stall_checks"
-       "Launch rounds the policy ended by declining to launch"
-       counters.Metrics.stall_checks;
-     c "moldable_sim_runs" "Completed simulation runs" 1
-   end);
-  {
-    schedule;
-    trace = List.rev !trace;
-    attempts;
-    makespan;
-    n_attempts = List.length attempts;
-    n_failures = !n_failures;
-    metrics;
-  }

@@ -18,7 +18,9 @@
     (3) run a launch round until the policy declines or no processor is
     free.
 
-    Every run is instrumented: see {!Metrics}. *)
+    Every run is instrumented: see {!Metrics}.  A plain reference loop in
+    the test suite (test/test_sim_core.ml) is the differential oracle that
+    pins {!run}, {!Engine.run} and {!Failure_engine.run}. *)
 
 open Moldable_util
 open Moldable_model
@@ -87,8 +89,7 @@ type result = {
 }
 
 (** Reusable per-run storage: the event heap, per-task bookkeeping arrays,
-    recording buffers and the platform (with its recycled segment pool),
-    all sized to the (p, n) high-water mark of the runs that used the
+    recording buffers and the platform, all sized to the (p, n) high-water mark of the runs that used the
     arena.  Passing the same arena to successive {!run}s makes the steady
     state of a sweep allocation-free outside the result values themselves.
 
@@ -159,11 +160,13 @@ module Stepper : sig
 
   val advance : t -> until:float -> int
   (** Process every scheduling instant with an event stamp [<= until] and
-      return how many were processed; afterwards {!now} is at least
-      [until] (a batch's ulp-tolerant instant may exceed its earliest
-      stamp, and so [until], by the batching epsilon).  The first call
-      (or {!drain}) performs the time-0 source flush.  [until] may be
-      [infinity] to process everything currently queued.
+      return how many were processed; afterwards, for a finite [until],
+      {!now} is at least [until] (a batch's ulp-tolerant instant may
+      exceed its earliest stamp, and so [until], by the batching
+      epsilon).  The first call (or {!drain}) performs the time-0 source
+      flush.  [until] may be [infinity] to process everything currently
+      queued; {!now} then stays at the last processed instant, so tasks
+      admitted afterwards are revealed at that finite time.
 
       @raise Policy_error on policy misbehaviour.
       @raise Invalid_argument on a closed stepper or NaN [until]. *)
@@ -266,21 +269,3 @@ val run :
     @raise Policy_error on policy misbehaviour.
     @raise Invalid_argument on ill-formed release times or [max_attempts].
     @raise Failure when a task would exceed [max_attempts]. *)
-
-val run_reference :
-  ?release_times:float array ->
-  ?seed:int ->
-  ?max_attempts:int ->
-  ?failures:failure_model ->
-  ?tracer:Tracer.t ->
-  ?registry:Moldable_obs.Registry.t ->
-  p:int ->
-  policy ->
-  Dag.t ->
-  result
-(** The pre-arena event loop, kept verbatim as the differential oracle for
-    {!run}: boxed event records on a closure-compared priority queue,
-    cons-list recording, fresh storage per run.  Produces bit-identical
-    schedules, traces, attempts and metrics to a full-mode {!run}; the
-    qcheck properties in the test suite and the [alloc_lean] bench section
-    pin the two against each other. *)

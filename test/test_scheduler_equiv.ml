@@ -1,14 +1,66 @@
 (* Differential tests for the heap-backed online scheduler: the
    priority-indexed queue plus analysis cache of Online_scheduler.policy
-   must reproduce the seed's sorted-list policy (Online_scheduler.
-   policy_reference) event for event, for every priority rule, on any
-   graph.  Also covers the Task.Cache memoization contract. *)
+   must reproduce the seed's sorted-list policy ([sorted_list_policy]
+   below, the launch-order oracle) event for event, for every priority
+   rule, on any graph — on small random graphs and on the 10^4/10^5-task
+   sets of the scalability bench.  Also covers the Task.Cache memoization
+   contract. *)
 
 open Moldable_model
 open Moldable_graph
 open Moldable_sim
 open Moldable_core
 open Moldable_util
+
+(* The seed's sorted-list policy, kept verbatim as the oracle: O(n) insert,
+   O(n) scan, and a fresh Task.analyze both in on_ready and inside the
+   allocator. *)
+let sorted_list_policy ?(priority = Priority.fifo) ~allocator ~p () =
+  let queue : Priority.item list ref = ref [] in
+  let next_seq = ref 0 in
+  let insert item =
+    let rec go = function
+      | [] -> [ item ]
+      | x :: rest ->
+        if priority.Priority.compare item x < 0 then item :: x :: rest
+        else x :: go rest
+    in
+    queue := go !queue
+  in
+  let on_ready ~now:_ task =
+    let a = Task.analyze ~p task in
+    let alloc = allocator.Allocator.allocate ~p task in
+    insert
+      {
+        Priority.task;
+        alloc;
+        t_min = a.Task.t_min;
+        seq =
+          (let s = !next_seq in
+           incr next_seq;
+           s);
+      }
+  in
+  let next_launch ~now:_ ~free =
+    (* List scheduling: first task in priority order that fits. *)
+    let rec extract acc = function
+      | [] -> None
+      | (x : Priority.item) :: rest ->
+        if x.Priority.alloc <= free then begin
+          queue := List.rev_append acc rest;
+          Some (x.Priority.task.Task.id, x.Priority.alloc)
+        end
+        else extract (x :: acc) rest
+    in
+    extract [] !queue
+  in
+  {
+    Engine.name =
+      Printf.sprintf "online-ref[%s, %s]" allocator.Allocator.name
+        priority.Priority.name;
+    on_ready;
+    next_launch;
+  }
 
 let event_pp ppf (t, (e : Engine.event)) =
   match e with
@@ -84,7 +136,7 @@ let policies_agree ~dag ~p ~priority ~allocator =
   in
   let list_ =
     Engine.run ~p
-      (Online_scheduler.policy_reference ~priority ~allocator ~p ())
+      (sorted_list_policy ~priority ~allocator ~p ())
       dag
   in
   if trace_equal heap.Engine.trace list_.Engine.trace then true
@@ -206,8 +258,7 @@ let test_cache_saves_model_evaluations () =
   calls := 0;
   let reference =
     Engine.run ~p
-      (Online_scheduler.policy_reference
-         ~allocator:Allocator.algorithm2_per_model ~p ())
+      (sorted_list_policy ~allocator:Allocator.algorithm2_per_model ~p ())
       dag
   in
   let reference_calls = !calls in
@@ -217,6 +268,35 @@ let test_cache_saves_model_evaluations () =
     (cached_calls < reference_calls);
   Alcotest.(check bool) "same trace" true
     (trace_equal cached.Engine.trace reference.Engine.trace)
+
+(* The bench's scalability sets, regenerated from its seed in its order:
+   the 10^4-task wide independent set at P = 256 (where the sorted list's
+   ready queue is largest) and the 10^5-task layered set at P = 1024.  The
+   10^5-task wide set is skipped: the sorted list is quadratic there. *)
+let test_at_scale_matches_sorted_list () =
+  let rng = Rng.create 77_777 in
+  let wide =
+    List.map
+      (fun n ->
+        Moldable_workloads.Random_dag.independent ~rng ~n
+          ~kind:Speedup.Kind_amdahl ())
+      [ 1_000; 10_000; 100_000; 100_000 ]
+  in
+  let layered =
+    List.map
+      (fun layers ->
+        Moldable_workloads.Random_dag.layered ~rng ~n_layers:layers
+          ~width:100 ~edge_prob:0.02 ~kind:Speedup.Kind_general ())
+      [ 200; 2_000 ]
+  in
+  List.iter
+    (fun (dag, p) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%d tasks, P = %d: identical traces" (Dag.n dag) p)
+        true
+        (policies_agree ~dag ~p ~priority:Priority.fifo
+           ~allocator:Allocator.algorithm2_per_model))
+    [ (List.nth wide 1, 256); (List.nth layered 1, 1_024) ]
 
 let test_cache_rejects_bad_p () =
   Alcotest.check_raises "p >= 1"
@@ -232,6 +312,8 @@ let () =
           qt prop_trace_equivalence;
           qt prop_trace_equivalence_arbitrary;
           qt prop_trace_equivalence_allocators;
+          Alcotest.test_case "bench sets at scale" `Slow
+            test_at_scale_matches_sorted_list;
         ] );
       ( "analysis cache",
         [

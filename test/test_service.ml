@@ -385,6 +385,26 @@ let test_stepper_events_windows_concatenate () =
   Alcotest.(check bool) "windows concatenate to the full trace" true
     (streamed = r.Sim_core.trace)
 
+let test_stepper_advance_to_infinity () =
+  (* An infinite horizon must leave the clock at the last processed
+     instant: a task admitted afterwards launches at a finite time, and
+     the run ends with the batch run's schedule. *)
+  let p = 4 in
+  let st = Sim_core.Stepper.create ~p (fifo_policy ~p ()) in
+  ignore (Sim_core.Stepper.admit_task st (small_task 0) : int);
+  ignore (Sim_core.Stepper.advance st ~until:infinity : int);
+  Alcotest.(check bool) "clock stays finite" true
+    (Float.is_finite (Sim_core.Stepper.now st));
+  ignore (Sim_core.Stepper.admit_task st ~deps:[ 0 ] (small_task 1) : int);
+  ignore (Sim_core.Stepper.advance st ~until:10. : int);
+  let r = Sim_core.Stepper.drain st in
+  let chain =
+    Dag.create ~tasks:(List.init 2 small_task) ~edges:[ (0, 1) ]
+  in
+  let batch = Online_scheduler.run ~p chain in
+  Alcotest.(check bool) "chain matches batch run" true
+    (same_schedule r.Sim_core.schedule batch.Engine.schedule)
+
 (* ------------------------------------------------------------- protocol *)
 
 let roundtrip req =
@@ -726,6 +746,44 @@ let test_end_to_end_concurrent_sessions () =
       Alcotest.(check bool) "concurrent replay identical" true (Domain.join d))
     domains
 
+let test_end_to_end_advance_without_until () =
+  (* [advance] without [until] is an infinite horizon; a later submit and
+     advance must still be answered, and the session must stay alive. *)
+  with_daemon @@ fun path ->
+  let c = connect_exn path in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let expect_ok what req =
+    match Client.rpc c req with
+    | Ok _ -> ()
+    | Error e -> Alcotest.failf "%s: %s" what e
+  in
+  let submit deps =
+    Protocol.Submit
+      {
+        Protocol.s_label = "";
+        s_speedup = Speedup.Amdahl { w = 4.; d = 0.5 };
+        s_deps = deps;
+        s_release = 0.;
+      }
+  in
+  expect_ok "open"
+    (Protocol.Open
+       {
+         Protocol.o_p = 4;
+         o_algorithm = `Original;
+         o_priority = "fifo";
+         o_seed = 0;
+         o_max_attempts = None;
+         o_failures = `Never;
+       });
+  expect_ok "submit" (submit []);
+  expect_ok "advance" (Protocol.Advance infinity);
+  expect_ok "late submit" (submit [ 0 ]);
+  expect_ok "advance until" (Protocol.Advance 10.);
+  match Client.ping c with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail ("session gone: " ^ e)
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "service"
@@ -752,6 +810,8 @@ let () =
             test_stepper_unadmitted_forward_dep_stalls;
           Alcotest.test_case "event windows concatenate" `Quick
             test_stepper_events_windows_concatenate;
+          Alcotest.test_case "advance to infinity keeps a finite clock" `Quick
+            test_stepper_advance_to_infinity;
         ] );
       ( "protocol",
         [
@@ -776,5 +836,7 @@ let () =
             test_end_to_end_incremental_session;
           Alcotest.test_case "concurrent sessions" `Quick
             test_end_to_end_concurrent_sessions;
+          Alcotest.test_case "advance without until, then submit" `Quick
+            test_end_to_end_advance_without_until;
         ] );
     ]

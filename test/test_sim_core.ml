@@ -1,13 +1,16 @@
-(* Differential tests pinning the unified simulation core (Sim_core) to the
-   two pre-refactor engines, plus metrics invariants and regression tests
-   for the validation/stats bugs fixed alongside the unification.
+(* Differential tests pinning the simulation core (Sim_core.run, and the
+   Engine.run / Failure_engine.run wrappers over it) to a plain reference
+   event loop, plus metrics invariants and regression tests for the
+   validation/stats bugs fixed alongside the core's unification.
 
-   [Seed_engine] and [Seed_failure_engine] below are verbatim copies of the
-   event loops that lib/sim/engine.ml and lib/sim/failure_engine.ml carried
-   before the refactor; the qcheck properties prove the unified core
-   trace-equivalent (resp. attempt-equivalent) to them across all five
-   priority rules, with and without release times, and under all three
-   failure models. *)
+   [run_reference] below is the core's differential oracle: the pre-arena
+   event loop, with boxed event records on a closure-compared [Pqueue],
+   cons-list trace/attempts/depth-sample recording and fresh storage per
+   run.  The qcheck properties pin the production core to it, directly and
+   through the [Engine.run] / [Failure_engine.run] wrappers (traces,
+   schedules, attempts), across all five priority rules, both allocators,
+   the three failure models and release times; one at-scale case extends
+   the pin to the 10^5-task workload of the alloc_lean bench section. *)
 
 open Moldable_model
 open Moldable_graph
@@ -17,11 +20,9 @@ open Moldable_core
 
 let check_float = Alcotest.(check (float 1e-9))
 
-(* The seed oracles predate the int-payload flat-heap {!Event_queue}: they
-   carry record/tuple payloads, so they keep a local polymorphic queue with
-   the original semantics (boxed items on a closure-compared [Pqueue],
-   insertion-order tie-break, the same [batch_eps] batching). *)
-module Seed_event_queue = struct
+(* ------------------------------------------ reference event loop (oracle) *)
+
+module Ref_queue = struct
   type 'a item = { time : float; seq : int; payload : 'a }
   type 'a t = { heap : 'a item Pqueue.t; mutable next_seq : int }
 
@@ -38,7 +39,8 @@ module Seed_event_queue = struct
     Pqueue.push t.heap { time; seq = t.next_seq; payload };
     t.next_seq <- t.next_seq + 1
 
-  let pop t = Option.map (fun i -> (i.time, i.payload)) (Pqueue.pop t.heap)
+  let pop t =
+    Option.map (fun i -> (i.time, i.payload)) (Pqueue.pop t.heap)
 
   let pop_simultaneous t =
     match pop t with
@@ -55,235 +57,198 @@ module Seed_event_queue = struct
       Some (latest, batch)
 end
 
-(* ------------------------------------------------- seed oracle: Engine.run *)
+type ref_state = Unrevealed | Available | Running | Done
 
-module Seed_engine = struct
-  module Event_queue = Seed_event_queue
+type ref_event =
+  | RComplete of { tid : int; attempt : int; start : float; finish : float;
+                   procs : int array }
+  | RReveal of int
 
-  type task_state = Unrevealed | Available | Running | Done
-  type sim_event = Complete of int * int array | Reveal of int
-
-  let run ?release_times ~p policy dag =
-    let n = Dag.n dag in
-    (match release_times with
-    | None -> ()
-    | Some r ->
-      if Array.length r <> n then
-        invalid_arg "Engine.run: release_times length must equal task count";
-      Array.iter
-        (fun t ->
-          if not (Float.is_finite t) || t < 0. then
-            invalid_arg "Engine.run: release times must be finite and >= 0")
-        r);
-    let release i =
-      match release_times with None -> 0. | Some r -> r.(i)
+let run_reference ?release_times ?(seed = 0) ?(max_attempts = max_int)
+    ?(failures = Sim_core.never) ~p (policy : Sim_core.policy) dag :
+    Sim_core.result =
+  let open Sim_core in
+  let n = Dag.n dag in
+  let release i =
+    match release_times with None -> 0. | Some r -> r.(i)
+  in
+  let rng = Rng.create seed in
+  let platform = Platform.create p in
+  let builder = Schedule.builder ~p ~n in
+  let events = Ref_queue.create () in
+  let state = Array.make n Unrevealed in
+  let indeg = Array.init n (Dag.in_degree dag) in
+  let attempt_no = Array.make n 0 in
+  let completed = ref 0 in
+  let trace = ref [] in
+  let attempts = ref [] in
+  let n_failures = ref 0 in
+  let counters = Metrics.make_counters () in
+  let ready_count = ref 0 in
+  let depth_samples = ref [] in
+  let first_ready = Array.make n nan in
+  let first_start = Array.make n nan in
+  let service = Array.make n 0. in
+  let record now ev = trace := (now, ev) :: !trace in
+  let fail fmt =
+    Printf.ksprintf
+      (fun s -> raise (Policy_error (policy.name ^ ": " ^ s)))
+      fmt
+  in
+  let reveal now i =
+    state.(i) <- Available;
+    incr ready_count;
+    if Float.is_nan first_ready.(i) then first_ready.(i) <- now;
+    record now (Ready i);
+    policy.on_ready ~now (Dag.task dag i)
+  in
+  let reveal_or_defer now i =
+    if release i <= now then reveal now i
+    else Ref_queue.add events ~time:(release i) (RReveal i)
+  in
+  let launch_round now =
+    let rec loop () =
+      let free = Platform.free_count platform in
+      if free > 0 then
+        match policy.next_launch ~now ~free with
+        | None ->
+          counters.Metrics.stall_checks <- counters.Metrics.stall_checks + 1
+        | Some (tid, nprocs) ->
+          if tid < 0 || tid >= n then fail "launched unknown task %d" tid;
+          (match state.(tid) with
+          | Available -> ()
+          | Unrevealed -> fail "launched unrevealed task %d" tid
+          | Running -> fail "launched running task %d" tid
+          | Done -> fail "launched completed task %d" tid);
+          if nprocs < 1 then fail "task %d launched on %d procs" tid nprocs;
+          if nprocs > free then
+            fail "task %d needs %d procs but only %d are free" tid nprocs free;
+          if attempt_no.(tid) >= max_attempts then
+            failwith
+              (Printf.sprintf
+                 "Sim_core.run: task %d reached the attempt limit (%d \
+                  attempts, all failed) under failure model %s"
+                 tid max_attempts failures.model_name);
+          let procs = Platform.acquire platform nprocs in
+          let duration = Task.time (Dag.task dag tid) nprocs in
+          state.(tid) <- Running;
+          decr ready_count;
+          attempt_no.(tid) <- attempt_no.(tid) + 1;
+          if Float.is_nan first_start.(tid) then first_start.(tid) <- now;
+          counters.Metrics.launches <- counters.Metrics.launches + 1;
+          record now (Start (tid, nprocs));
+          Ref_queue.add events
+            ~time:(now +. duration)
+            (RComplete
+               { tid; attempt = attempt_no.(tid); start = now;
+                 finish = now +. duration; procs });
+          loop ()
     in
-    let platform = Platform.create p in
-    let builder = Schedule.builder ~p ~n in
-    let events = Event_queue.create () in
-    let state = Array.make n Unrevealed in
-    let indeg = Array.init n (Dag.in_degree dag) in
-    let completed = ref 0 in
-    let trace = ref [] in
-    let record now ev = trace := (now, ev) :: !trace in
-    let fail fmt =
-      Printf.ksprintf
-        (fun s -> raise (Engine.Policy_error (policy.Engine.name ^ ": " ^ s)))
-        fmt
-    in
-    let reveal now i =
-      state.(i) <- Available;
-      record now (Engine.Ready i);
-      policy.Engine.on_ready ~now (Dag.task dag i)
-    in
-    let reveal_or_defer now i =
-      if release i <= now then reveal now i
-      else Event_queue.add events ~time:(release i) (Reveal i)
-    in
-    let launch_round now =
-      let rec loop () =
-        let free = Platform.free_count platform in
-        if free > 0 then
-          match policy.Engine.next_launch ~now ~free with
-          | None -> ()
-          | Some (tid, nprocs) ->
-            if tid < 0 || tid >= n then fail "launched unknown task %d" tid;
-            (match state.(tid) with
-            | Available -> ()
-            | Unrevealed -> fail "launched unrevealed task %d" tid
-            | Running | Done -> fail "launched task %d twice" tid);
-            if nprocs < 1 then fail "task %d launched on %d procs" tid nprocs;
-            if nprocs > free then
-              fail "task %d needs %d procs but only %d are free" tid nprocs
-                free;
-            let procs = Platform.acquire platform nprocs in
-            let duration = Task.time (Dag.task dag tid) nprocs in
-            state.(tid) <- Running;
-            record now (Engine.Start (tid, nprocs));
-            Schedule.add builder
-              {
-                Schedule.task_id = tid;
-                start = now;
-                finish = now +. duration;
-                nprocs;
-                procs;
-              };
-            Event_queue.add events
-              ~time:(now +. duration)
-              (Complete (tid, procs));
-            loop ()
-      in
-      loop ()
-    in
-    List.iter (reveal_or_defer 0.) (Dag.sources dag);
-    launch_round 0.;
-    while !completed < n do
-      match Event_queue.pop_simultaneous events with
-      | None ->
-        fail "stalled: %d of %d tasks completed but nothing is running"
-          !completed n
-      | Some (now, batch) ->
-        let finished =
-          List.filter_map
-            (function
-              | Complete (tid, procs) ->
-                Platform.release platform procs;
+    loop ()
+  in
+  let sample_depth now =
+    depth_samples := (now, !ready_count) :: !depth_samples
+  in
+  List.iter (reveal_or_defer 0.) (Dag.sources dag);
+  launch_round 0.;
+  sample_depth 0.;
+  while !completed < n do
+    match Ref_queue.pop_simultaneous events with
+    | None ->
+      fail "stalled: %d of %d tasks completed but nothing is running"
+        !completed n
+    | Some (now, batch) ->
+      counters.Metrics.batches <- counters.Metrics.batches + 1;
+      counters.Metrics.events <- counters.Metrics.events + List.length batch;
+      let outcomes =
+        List.map
+          (function
+            | RComplete { tid; attempt; start; finish; procs } ->
+              Platform.release platform procs;
+              let failed = failures.fails rng ~task_id:tid ~attempt in
+              attempts :=
+                { task_id = tid; attempt; start; finish = now;
+                  nprocs = Array.length procs; procs; failed }
+                :: !attempts;
+              service.(tid) <- service.(tid) +. (now -. start);
+              if failed then begin
+                incr n_failures;
+                counters.Metrics.retries <- counters.Metrics.retries + 1;
+                record now (Failed (tid, attempt));
+                `Failed tid
+              end
+              else begin
                 state.(tid) <- Done;
                 incr completed;
-                record now (Engine.Finish tid);
-                Some tid
-              | Reveal _ -> None)
-            batch
-        in
-        List.iter
-          (function Reveal i -> reveal now i | Complete _ -> ())
-          batch;
-        List.iter
-          (fun tid ->
+                record now (Finish tid);
+                Schedule.add builder
+                  { Schedule.task_id = tid; start; finish;
+                    nprocs = Array.length procs; procs };
+                `Succeeded tid
+              end
+            | RReveal i -> `Revealed i)
+          batch
+      in
+      List.iter
+        (function
+          | `Failed tid -> reveal now tid
+          | `Revealed i -> reveal now i
+          | `Succeeded _ -> ())
+        outcomes;
+      List.iter
+        (function
+          | `Succeeded tid ->
             List.iter
               (fun j ->
                 indeg.(j) <- indeg.(j) - 1;
                 if indeg.(j) = 0 then reveal_or_defer now j)
-              (Dag.successors dag tid))
-          finished;
-        launch_round now
-    done;
-    (Schedule.finalize builder, List.rev !trace)
-end
-
-(* ----------------------------------------- seed oracle: Failure_engine.run *)
-
-module Seed_failure_engine = struct
-  module Event_queue = Seed_event_queue
-
-  type task_state = Unrevealed | Available | Running | Done
-
-  let run ?(seed = 0) ?(max_attempts = 1000) ~failures ~p policy dag =
-    let n = Dag.n dag in
-    let rng = Rng.create seed in
-    let platform = Platform.create p in
-    let events = Event_queue.create () in
-    let state = Array.make n Unrevealed in
-    let indeg = Array.init n (Dag.in_degree dag) in
-    let attempt_no = Array.make n 0 in
-    let completed = ref 0 in
-    let attempts = ref [] in
-    let fail fmt =
-      Printf.ksprintf
-        (fun s -> raise (Engine.Policy_error (policy.Engine.name ^ ": " ^ s)))
-        fmt
-    in
-    let reveal now i =
-      state.(i) <- Available;
-      policy.Engine.on_ready ~now (Dag.task dag i)
-    in
-    let launch_round now =
-      let rec loop () =
-        let free = Platform.free_count platform in
-        if free > 0 then
-          match policy.Engine.next_launch ~now ~free with
-          | None -> ()
-          | Some (tid, nprocs) ->
-            if tid < 0 || tid >= n then fail "launched unknown task %d" tid;
-            (match state.(tid) with
-            | Available -> ()
-            | Unrevealed -> fail "launched unrevealed task %d" tid
-            | Running -> fail "launched running task %d" tid
-            | Done -> fail "launched completed task %d" tid);
-            if nprocs < 1 || nprocs > free then
-              fail "task %d launched on %d procs with %d free" tid nprocs free;
-            let procs = Platform.acquire platform nprocs in
-            let duration = Task.time (Dag.task dag tid) nprocs in
-            state.(tid) <- Running;
-            attempt_no.(tid) <- attempt_no.(tid) + 1;
-            if attempt_no.(tid) > max_attempts then
-              failwith
-                (Printf.sprintf
-                   "Failure_engine.run: task %d exceeded %d attempts" tid
-                   max_attempts);
-            Event_queue.add events
-              ~time:(now +. duration)
-              (tid, attempt_no.(tid), now, procs);
-            loop ()
-      in
-      loop ()
-    in
-    List.iter (reveal 0.) (Dag.sources dag);
-    launch_round 0.;
-    while !completed < n do
-      match Event_queue.pop_simultaneous events with
-      | None ->
-        fail "stalled: %d of %d tasks completed but nothing is running"
-          !completed n
-      | Some (now, batch) ->
-        let succeeded = ref [] in
-        List.iter
-          (fun (tid, attempt, start, procs) ->
-            Platform.release platform procs;
-            let failed =
-              failures.Failure_engine.fails rng ~task_id:tid ~attempt
-            in
-            attempts :=
-              {
-                Failure_engine.task_id = tid;
-                attempt;
-                start;
-                finish = now;
-                nprocs = Array.length procs;
-                procs;
-                failed;
-              }
-              :: !attempts;
-            if failed then reveal now tid
-            else begin
-              state.(tid) <- Done;
-              incr completed;
-              succeeded := tid :: !succeeded
-            end)
-          batch;
-        List.iter
-          (fun tid ->
-            List.iter
-              (fun j ->
-                indeg.(j) <- indeg.(j) - 1;
-                if indeg.(j) = 0 then reveal now j)
-              (Dag.successors dag tid))
-          (List.rev !succeeded);
-        launch_round now
-    done;
-    let attempts =
-      List.sort
-        (fun (a : Failure_engine.attempt) (b : Failure_engine.attempt) ->
-          match compare a.Failure_engine.start b.Failure_engine.start with
-          | 0 ->
-            compare
-              (a.Failure_engine.task_id, a.Failure_engine.attempt)
-              (b.Failure_engine.task_id, b.Failure_engine.attempt)
+              (Dag.successors dag tid)
+          | `Failed _ | `Revealed _ -> ())
+        outcomes;
+      launch_round now;
+      sample_depth now
+  done;
+  let attempts =
+    List.sort
+      (fun x y ->
+        match Float.compare x.start y.start with
+        | 0 -> (
+          match Int.compare x.task_id y.task_id with
+          | 0 -> Int.compare x.attempt y.attempt
           | c -> c)
-        !attempts
-    in
-    attempts
-end
+        | c -> c)
+      !attempts
+  in
+  let schedule = Schedule.finalize builder in
+  let makespan =
+    List.fold_left (fun acc at -> Float.max acc at.finish) 0. attempts
+  in
+  let tasks =
+    Array.init n (fun i ->
+        {
+          Metrics.task_id = i;
+          ready = first_ready.(i);
+          start = first_start.(i);
+          finish = (Schedule.placement schedule i).Schedule.finish;
+          wait = first_start.(i) -. first_ready.(i);
+          service = service.(i);
+          attempts = attempt_no.(i);
+        })
+  in
+  let spans = List.map (fun at -> (at.start, at.finish, at.nprocs)) attempts in
+  let metrics =
+    Metrics.build ~p ~counters ~queue_depth:(List.rev !depth_samples) ~tasks
+      ~spans
+  in
+  {
+    schedule;
+    trace = List.rev !trace;
+    attempts;
+    makespan;
+    n_attempts = List.length attempts;
+    n_failures = !n_failures;
+    metrics;
+  }
 
 (* ------------------------------------------------------- shared generators *)
 
@@ -310,70 +275,6 @@ let same_schedule a b =
          && pa.Schedule.nprocs = pb.Schedule.nprocs
          && pa.Schedule.procs = pb.Schedule.procs)
        (List.init (Schedule.n a) (fun i -> i))
-
-(* -------------------------------------------- core vs seed engine (traces) *)
-
-let prop_core_trace_equivalent_to_seed_engine =
-  QCheck.Test.make
-    ~name:"unified core trace-equivalent to seed Engine.run (5 rules, +/- \
-           release times)"
-    ~count:40
-    QCheck.(int_range 0 1_000_000)
-    (fun seed ->
-      let rng = Rng.create seed in
-      let dag = random_dag rng in
-      let p = Rng.int_range rng 2 32 in
-      let release_times =
-        if Rng.bool rng then
-          Some (Array.init (Dag.n dag) (fun _ -> Rng.float rng 5.))
-        else None
-      in
-      List.for_all
-        (fun priority ->
-          let expected_sched, expected_trace =
-            Seed_engine.run ?release_times ~p
-              (fresh_policy ~priority ~p ())
-              dag
-          in
-          let actual =
-            Engine.run ?release_times ~p (fresh_policy ~priority ~p ()) dag
-          in
-          actual.Engine.trace = expected_trace
-          && same_schedule actual.Engine.schedule expected_sched)
-        Priority.all)
-
-(* ---------------------------------- core vs seed failure engine (attempts) *)
-
-let prop_core_attempt_equivalent_to_seed_failure_engine =
-  QCheck.Test.make
-    ~name:"unified core attempt-equivalent to seed Failure_engine.run \
-           (never/bernoulli/at_most)"
-    ~count:40
-    QCheck.(pair (int_range 0 1_000_000) (int_range 0 2))
-    (fun (seed, model_idx) ->
-      let rng = Rng.create seed in
-      let dag = random_dag rng in
-      let p = Rng.int_range rng 2 32 in
-      let failures =
-        match model_idx with
-        | 0 -> Failure_engine.never
-        | 1 -> Failure_engine.bernoulli ~q:(Rng.float rng 0.6)
-        | _ -> Failure_engine.at_most ~k:(Rng.int_range rng 0 3)
-      in
-      List.for_all
-        (fun priority ->
-          let expected =
-            Seed_failure_engine.run ~seed ~failures ~p
-              (fresh_policy ~priority ~p ())
-              dag
-          in
-          let actual =
-            Failure_engine.run ~seed ~failures ~p
-              (fresh_policy ~priority ~p ())
-              dag
-          in
-          actual.Failure_engine.attempts = expected)
-        Priority.all)
 
 (* ------------------------------------- failure runs regained the extras *)
 
@@ -766,6 +667,36 @@ let gen_scenario rng =
 
 let allocators = [ Allocator.algorithm2_per_model; Improved_alloc.per_model ]
 
+(* The wrappers seen as core results: [Engine.run] (failure-free, so its
+   trace maps back into [Sim_core.event]s; no attempt records) and
+   [Failure_engine.run]. *)
+let engine_as_core (r : Engine.result) (like : Sim_core.result) =
+  {
+    like with
+    Sim_core.schedule = r.Engine.schedule;
+    trace =
+      List.map
+        (fun (t, ev) ->
+          ( t,
+            match ev with
+            | Engine.Ready i -> Sim_core.Ready i
+            | Engine.Start (i, q) -> Sim_core.Start (i, q)
+            | Engine.Finish i -> Sim_core.Finish i ))
+        r.Engine.trace;
+    metrics = r.Engine.metrics;
+  }
+
+let failure_engine_as_core (r : Failure_engine.result) : Sim_core.result =
+  {
+    Sim_core.schedule = r.Failure_engine.schedule;
+    trace = r.Failure_engine.trace;
+    attempts = r.Failure_engine.attempts;
+    makespan = r.Failure_engine.makespan;
+    n_attempts = r.Failure_engine.n_attempts;
+    n_failures = r.Failure_engine.n_failures;
+    metrics = r.Failure_engine.metrics;
+  }
+
 let prop_arena_core_matches_reference =
   QCheck.Test.make
     ~name:"arena core run = run_reference (5 rules x 2 allocators, failure \
@@ -779,17 +710,67 @@ let prop_arena_core_matches_reference =
         (fun priority ->
           List.for_all
             (fun allocator ->
+              let policy () =
+                Online_scheduler.policy ~priority ~allocator ~p ()
+              in
+              same_result
+                (Sim_core.run ?release_times ~seed ~failures ~p (policy ()) dag)
+                (run_reference ?release_times ~seed ~failures ~p (policy ())
+                   dag))
+            allocators)
+        Priority.all)
+
+(* ------------------------- the wrappers vs the reference event loop *)
+
+let prop_core_trace_equivalent_via_engine =
+  QCheck.Test.make
+    ~name:"unified core trace-equivalent to run_reference via Engine.run (5 \
+           rules x 2 allocators, +/- release times)"
+    ~count:40
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let dag, p, release_times, _ = gen_scenario rng in
+      List.for_all
+        (fun priority ->
+          List.for_all
+            (fun allocator ->
+              let policy () =
+                Online_scheduler.policy ~priority ~allocator ~p ()
+              in
               let reference =
-                Sim_core.run_reference ?release_times ~seed ~failures ~p
-                  (Online_scheduler.policy ~priority ~allocator ~p ())
-                  dag
+                run_reference ?release_times ~p (policy ()) dag
               in
-              let actual =
-                Sim_core.run ?release_times ~seed ~failures ~p
-                  (Online_scheduler.policy ~priority ~allocator ~p ())
-                  dag
+              same_result
+                (engine_as_core
+                   (Engine.run ?release_times ~p (policy ()) dag)
+                   reference)
+                reference)
+            allocators)
+        Priority.all)
+
+let prop_core_attempt_equivalent_via_failure_engine =
+  QCheck.Test.make
+    ~name:"unified core attempt-equivalent to run_reference via \
+           Failure_engine.run (never/bernoulli/at_most, 2 allocators)"
+    ~count:40
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let dag, p, release_times, failures = gen_scenario rng in
+      List.for_all
+        (fun priority ->
+          List.for_all
+            (fun allocator ->
+              let policy () =
+                Online_scheduler.policy ~priority ~allocator ~p ()
               in
-              same_result actual reference)
+              same_result
+                (failure_engine_as_core
+                   (Failure_engine.run ?release_times ~seed ~failures ~p
+                      (policy ()) dag))
+                (run_reference ?release_times ~seed ~failures ~p (policy ())
+                   dag))
             allocators)
         Priority.all)
 
@@ -866,15 +847,28 @@ let test_domain_arena_run_one_unchanged () =
   check_float "makespan matches full run" mk2 mk1;
   Alcotest.(check bool) "ratio >= 1" true (ratio1 >= 1. -. 1e-9)
 
+(* The alloc_lean bench workload (10^5 narrow roofline tasks, P = 256,
+   regenerated from the section's seed): the oracle pin at scale. *)
+let test_at_scale_matches_reference () =
+  let p = 256 in
+  let rng = Rng.create 424_243 in
+  let dag =
+    Moldable_workloads.Random_dag.independent
+      ~spec:{ Moldable_workloads.Params.default with ptilde_max = 4 }
+      ~rng ~n:100_000 ~kind:Speedup.Kind_roofline ()
+  in
+  let policy () =
+    Online_scheduler.policy ~allocator:Allocator.algorithm2_per_model ~p ()
+  in
+  Alcotest.(check bool) "Sim_core.run = run_reference" true
+    (same_result
+       (Sim_core.run ~p (policy ()) dag)
+       (run_reference ~p (policy ()) dag))
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "sim_core"
     [
-      ( "differential",
-        [
-          qt prop_core_trace_equivalent_to_seed_engine;
-          qt prop_core_attempt_equivalent_to_seed_failure_engine;
-        ] );
       ( "alloc-lean core",
         [
           qt prop_arena_core_matches_reference;
@@ -882,6 +876,13 @@ let () =
           qt prop_arena_reuse_changes_nothing;
           Alcotest.test_case "run_one on domain arena" `Quick
             test_domain_arena_run_one_unchanged;
+          Alcotest.test_case "alloc_lean workload at scale" `Slow
+            test_at_scale_matches_reference;
+        ] );
+      ( "differential",
+        [
+          qt prop_core_trace_equivalent_via_engine;
+          qt prop_core_attempt_equivalent_via_failure_engine;
         ] );
       ( "failure extras",
         [
