@@ -18,7 +18,7 @@ let () =
     (fun p ->
       let inst = Instances.communication ~p in
       let online = Instances.run_online inst in
-      let t = Schedule.makespan online.Engine.schedule in
+      let t = Schedule.makespan online.Sim_core.schedule in
       Printf.printf "  %6d  %10.2f  %10.2f  %8.4f\n" p t
         inst.Instances.alternative_makespan
         (t /. inst.Instances.alternative_makespan))
@@ -32,7 +32,7 @@ let () =
   let label i = (Dag.task small.Instances.dag i).Moldable_model.Task.label in
   Printf.printf "Figure 2(a) — the online algorithm's layered schedule:\n%s\n"
     (Moldable_viz.Gantt.render ~width:72 ~legend:false ~label
-       online.Engine.schedule);
+       online.Sim_core.schedule);
   Printf.printf "Figure 2(b) — the clairvoyant alternative schedule:\n%s\n"
     (Moldable_viz.Gantt.render ~width:72 ~legend:false ~label
        small.Instances.alternative)

@@ -32,22 +32,19 @@ let () =
   let policy =
     Online_scheduler.policy ~allocator:Allocator.algorithm2_per_model ~p ()
   in
-  let result = Engine.run ~release_times:releases ~p policy dag in
-  Validate.check_exn ~dag result.Engine.schedule;
-  let metrics = Moldable_analysis.Metrics.of_result result in
+  let result = Sim_core.run ~release_times:releases ~p policy dag in
+  Validate.check_exn ~dag result.Sim_core.schedule;
   Printf.printf "Part 1 — %d independent tasks, Poisson arrivals on %d procs\n"
     n p;
   Printf.printf "  last arrival %.2f, makespan %.2f\n" releases.(n - 1)
-    metrics.Moldable_analysis.Metrics.makespan;
-  Printf.printf "  %s\n"
-    (Format.asprintf "%a" Moldable_analysis.Metrics.pp metrics);
+    result.Sim_core.makespan;
   (* Every run is instrumented by the unified core: counters, utilization
      timeline, queue depth and per-task waits ride along in [result]. *)
   Printf.printf "  core instrumentation: %s\n"
-    (Format.asprintf "%a" Metrics.pp result.Engine.metrics);
+    (Format.asprintf "%a" Metrics.pp result.Sim_core.metrics);
   let metrics_file = "failures_and_arrivals_metrics.json" in
   let oc = open_out metrics_file in
-  output_string oc (Metrics.to_json result.Engine.metrics);
+  output_string oc (Metrics.to_json result.Sim_core.metrics);
   close_out oc;
   Printf.printf "  wrote %s\n\n" metrics_file;
 
@@ -61,19 +58,19 @@ let () =
   List.iter
     (fun q ->
       let r =
-        Failure_engine.run ~seed:99
-          ~failures:(if q = 0. then Failure_engine.never
-                     else Failure_engine.bernoulli ~q)
+        Sim_core.run ~max_attempts:1000 ~seed:99
+          ~failures:(if q = 0. then Sim_core.never
+                     else Sim_core.bernoulli ~q)
           ~p
           (Online_scheduler.policy ~allocator:Allocator.algorithm2_per_model
              ~p ())
           wf
       in
-      Failure_engine.validate_exn ~dag:wf ~p r;
+      Validate.attempts_exn ~dag:wf ~p (Sim_core.attempts r);
       Printf.printf
         "  q=%.1f: %3d attempts (%2d failed), makespan %8.2f\n" q
-        r.Failure_engine.n_attempts r.Failure_engine.n_failures
-        r.Failure_engine.makespan)
+        r.Sim_core.n_attempts r.Sim_core.n_failures
+        r.Sim_core.makespan)
     [ 0.0; 0.1; 0.3; 0.5 ];
   print_newline ();
   Printf.printf

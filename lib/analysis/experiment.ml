@@ -3,7 +3,7 @@ open Moldable_sim
 open Moldable_util
 open Moldable_core
 
-type policy_spec = { label : string; make : p:int -> Engine.policy }
+type policy_spec = { label : string; make : p:int -> Sim_core.policy }
 
 type outcome = {
   workload : string;
@@ -45,17 +45,16 @@ let default_policies =
        Baselines.named
 
 let run_one ?(validate = true) ~p spec dag =
-  (* Sweep cells need only the makespan, so the simulation runs lean on the
-     calling domain's arena: pool workers are long-lived, so a sweep's
-     steady state allocates no per-run simulator storage.  The schedule —
-     and hence every reported number — is identical to a full run. *)
+  (* The simulation runs on the calling domain's arena: pool workers are
+     long-lived, so a sweep's steady state allocates no per-run simulator
+     storage. *)
   let result =
-    Engine.run ~arena:(Sim_core.Arena.for_current_domain ()) ~lean:true ~p
+    Sim_core.run ~arena:(Sim_core.Arena.for_current_domain ()) ~p
       (spec.make ~p) dag
   in
-  if validate then Validate.check_exn ~dag result.Engine.schedule;
+  if validate then Validate.check_exn ~dag result.Sim_core.schedule;
   let lb = (Bounds.compute ~p dag).Bounds.lower_bound in
-  let makespan = Schedule.makespan result.Engine.schedule in
+  let makespan = Schedule.makespan result.Sim_core.schedule in
   (makespan, makespan /. lb)
 
 let evaluate ?(validate = true) ?(pool = Pool.sequential)

@@ -58,25 +58,20 @@ let verify ~mu ~dag sched =
     all_hold = lemma3.holds && lemma4.holds && lemma5.holds;
   }
 
-let no_wait_below_high_utilization ~mu (result : Engine.result) =
-  let sched = result.Engine.schedule in
+let no_wait_below_high_utilization ~mu (result : Sim_core.result) =
+  let sched = result.Sim_core.schedule in
   let p = Schedule.p sched in
   (* Guarded ceil, matching Intervals.classify's utilization bands. *)
   let hi = Moldable_util.Numerics.iceil_guarded ((1. -. mu) *. float_of_int p) in
-  (* Waiting windows: Ready -> Start per task. *)
-  let n = Schedule.n sched in
-  let ready = Array.make n nan in
-  List.iter
-    (fun (time, ev) ->
-      match ev with
-      | Engine.Ready i -> if Float.is_nan ready.(i) then ready.(i) <- time
-      | Engine.Start _ | Engine.Finish _ -> ())
-    result.Engine.trace;
+  (* Waiting windows: first Ready -> start of the successful attempt. *)
+  let tasks = Metrics.tasks result.Sim_core.metrics in
   let windows = ref [] in
-  for i = 0 to n - 1 do
-    let start = (Schedule.placement sched i).Schedule.start in
-    if start -. ready.(i) > 1e-9 then windows := (ready.(i), start) :: !windows
-  done;
+  Array.iteri
+    (fun i (ts : Metrics.task_stat) ->
+      let start = (Schedule.placement sched i).Schedule.start in
+      let ready = ts.Metrics.ready in
+      if start -. ready > 1e-9 then windows := (ready, start) :: !windows)
+    tasks;
   let low_steps =
     List.filter
       (fun (_, _, busy) -> busy < hi)

@@ -34,7 +34,7 @@ val verify : mu:float -> dag:Dag.t -> Schedule.t -> report
     [mu]; the inequalities may fail for other schedulers (that is the
     point of the ablation benches). *)
 
-val no_wait_below_high_utilization : mu:float -> Engine.result -> bool
+val no_wait_below_high_utilization : mu:float -> Sim_core.result -> bool
 (** The structural fact behind Lemma 4: whenever the utilization is below
     [ceil((1-mu) P)], at least [ceil(mu P)] processors are free, so every
     available task (allocated at most [ceil(mu P)] by Algorithm 2) starts

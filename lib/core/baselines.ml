@@ -24,7 +24,7 @@ let ect ~p =
       Some (task.Task.id, alloc)
     end
   in
-  { Engine.name = "ect"; on_ready; next_launch }
+  { Sim_core.name = "ect"; on_ready; next_launch }
 
 let named =
   [
@@ -34,4 +34,4 @@ let named =
     ("ECT greedy", fun ~p -> ect ~p);
   ]
 
-let run make ~p dag = Engine.run ~p (make ~p) dag
+let run make ~p dag = Sim_core.run ~p (make ~p) dag

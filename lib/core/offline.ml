@@ -37,13 +37,13 @@ let critical_path_policy ~allocator ~p dag =
     extract [] !queue
   in
   {
-    Engine.name = "offline-critical-path[" ^ allocator.Allocator.name ^ "]";
+    Sim_core.name = "offline-critical-path[" ^ allocator.Allocator.name ^ "]";
     on_ready;
     next_launch;
   }
 
 let critical_path_list ?(allocator = Allocator.algorithm2_per_model) ~p dag =
-  Engine.run ~p (critical_path_policy ~allocator ~p dag) dag
+  Sim_core.run ~p (critical_path_policy ~allocator ~p dag) dag
 
 let named =
   [
@@ -88,7 +88,7 @@ let list_with ~allocations ~priority ~p dag =
     in
     extract [] !queue
   in
-  Engine.run ~p { Engine.name = "offline-list-with"; on_ready; next_launch }
+  Sim_core.run ~p { Sim_core.name = "offline-list-with"; on_ready; next_launch }
     dag
 
 let randomized_search ?(restarts = 64) ~rng ~p dag =
@@ -123,8 +123,8 @@ let randomized_search ?(restarts = 64) ~rng ~p dag =
   for k = 1 to restarts - 1 do
     let result = candidate k in
     if
-      Schedule.makespan result.Engine.schedule
-      < Schedule.makespan !best.Engine.schedule
+      Schedule.makespan result.Sim_core.schedule
+      < Schedule.makespan !best.Sim_core.schedule
     then best := result
   done;
   !best
@@ -134,8 +134,8 @@ let best_of ?(p = 64) ~schedulers dag =
     List.map
       (fun (name, run) ->
         let r = run ~p dag in
-        Validate.check_exn ~dag r.Engine.schedule;
-        (name, Schedule.makespan r.Engine.schedule))
+        Validate.check_exn ~dag r.Sim_core.schedule;
+        (name, Schedule.makespan r.Sim_core.schedule))
       schedulers
   in
   match results with

@@ -15,27 +15,27 @@ open Moldable_graph
 open Moldable_sim
 
 val critical_path_list :
-  ?allocator:Allocator.t -> p:int -> Dag.t -> Engine.result
+  ?allocator:Allocator.t -> p:int -> Dag.t -> Sim_core.result
 (** List scheduling where ready tasks are ordered by decreasing bottom level
     (sum of [t_min] along the longest downstream path).  The allocator
     defaults to {!Allocator.algorithm2_per_model}.  The schedule is produced
     through the same engine and satisfies the same feasibility contract. *)
 
 val best_of :
-  ?p:int -> schedulers:(string * (p:int -> Dag.t -> Engine.result)) list ->
+  ?p:int -> schedulers:(string * (p:int -> Dag.t -> Sim_core.result)) list ->
   Dag.t -> string * float
 (** Runs every scheduler (each validated) and returns the name and makespan
     of the best, a practical clairvoyant upper bound on [T_opt].
     [p] defaults to 64. *)
 
-val named : (string * (p:int -> Dag.t -> Engine.result)) list
+val named : (string * (p:int -> Dag.t -> Sim_core.result)) list
 (** Offline reference schedulers for {!best_of}: critical-path list
     scheduling with the paper's allocator, with min-time allocations and
     with sequential allocations. *)
 
 val list_with :
   allocations:int array -> priority:float array -> p:int -> Dag.t ->
-  Engine.result
+  Sim_core.result
 (** Clairvoyant list scheduling with an explicit per-task allotment and an
     explicit priority (higher runs first; ties by id) — the building block
     for search-based offline scheduling.
@@ -43,7 +43,7 @@ val list_with :
     allocations. *)
 
 val randomized_search :
-  ?restarts:int -> rng:Moldable_util.Rng.t -> p:int -> Dag.t -> Engine.result
+  ?restarts:int -> rng:Moldable_util.Rng.t -> p:int -> Dag.t -> Sim_core.result
 (** Randomized restarts ([restarts], default 64) over allotments (mixtures
     of Algorithm 2, minimal-time and random allocations) and priorities
     (bottom-level with multiplicative jitter); returns the best schedule

@@ -104,7 +104,7 @@ let policy ?(priority = Priority.fifo) ?(tracer = Tracer.null)
     | Some x -> Some (x.Priority.task.Task.id, x.Priority.alloc)
   in
   {
-    Engine.name =
+    Sim_core.name =
       Printf.sprintf "online[%s, %s]" allocator.Allocator.name
         priority.Priority.name;
     on_ready;
@@ -112,8 +112,8 @@ let policy ?(priority = Priority.fifo) ?(tracer = Tracer.null)
   }
 
 let run ?priority ?(allocator = Allocator.algorithm2_per_model) ?release_times
-    ?registry ?arena ?lean ~p dag =
-  Engine.run ?release_times ?registry ?arena ?lean ~p
+    ?registry ?arena ~p dag =
+  Sim_core.run ?release_times ?registry ?arena ~p
     (policy ?priority ?registry ~allocator ~p ())
     dag
 
@@ -140,7 +140,7 @@ let run_improved_instrumented ?priority ?release_times ?seed ?max_attempts
     ?release_times ?seed ?max_attempts ?failures ?tracer ?registry ~p dag
 
 let makespan ?priority ?allocator ~p dag =
-  Schedule.makespan (run ?priority ?allocator ~p dag).Engine.schedule
+  Schedule.makespan (run ?priority ?allocator ~p dag).Sim_core.schedule
 
 let allocation_of ?(allocator = Allocator.algorithm2_per_model) ~p task =
   allocator.Allocator.allocate ~p task

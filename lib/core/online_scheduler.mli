@@ -6,7 +6,7 @@
     scanned in priority order and every task whose allocation fits in the
     currently free processors is started immediately.
 
-    The policy produced here is driven by {!Moldable_sim.Engine.run}; it
+    The policy produced here is driven by {!Moldable_sim.Sim_core.run}; it
     never inspects the task graph, only the tasks revealed to it. *)
 
 open Moldable_model
@@ -16,7 +16,7 @@ open Moldable_sim
 val policy :
   ?priority:Priority.t -> ?tracer:Tracer.t ->
   ?registry:Moldable_obs.Registry.t -> allocator:Allocator.t ->
-  p:int -> unit -> Engine.policy
+  p:int -> unit -> Sim_core.policy
 (** Fresh, stateful policy for one run.  Default priority is {!Priority.fifo}
     (the paper's algorithm).
 
@@ -48,12 +48,12 @@ val policy :
 val run :
   ?priority:Priority.t -> ?allocator:Allocator.t ->
   ?release_times:float array -> ?registry:Moldable_obs.Registry.t ->
-  ?arena:Sim_core.Arena.t -> ?lean:bool ->
-  p:int -> Dag.t -> Engine.result
+  ?arena:Sim_core.Arena.t ->
+  p:int -> Dag.t -> Sim_core.result
 (** One-shot: build the policy (allocator defaults to
-    {!Allocator.algorithm2_per_model}) and simulate it.  [arena] and
-    [lean] are forwarded to {!Engine.run} (storage reuse / skip trace
-    recording; the schedule is unaffected). *)
+    {!Allocator.algorithm2_per_model}) and simulate it.  [arena] is
+    forwarded to {!Sim_core.run} (storage reuse; the schedule is
+    unaffected). *)
 
 val run_instrumented :
   ?priority:Priority.t -> ?allocator:Allocator.t ->
@@ -65,12 +65,12 @@ val run_instrumented :
     failure injection (default {!Sim_core.never}), decision-level tracing
     (default {!Tracer.null}; the same tracer collects allocator provenance,
     execution spans and the self-profile) and the full instrumented
-    {!Sim_core.result} (schedule, trace, attempts and {!Metrics.t}). *)
+    {!Sim_core.result} (schedule, event log and {!Metrics.t}). *)
 
 val run_improved :
   ?priority:Priority.t -> ?release_times:float array ->
   ?registry:Moldable_obs.Registry.t -> p:int -> Dag.t ->
-  Engine.result
+  Sim_core.result
 (** {!run} with the improved allocator {!Improved_alloc.per_model} — the
     refined algorithm of arXiv:2304.14127 as a first-class policy. *)
 

@@ -41,7 +41,7 @@ let list_schedule ~p ~jobs dag =
     in
     extract [] !queue
   in
-  Engine.run ~p { Engine.name = "rigid-list"; on_ready; next_launch } dag
+  Sim_core.run ~p { Sim_core.name = "rigid-list"; on_ready; next_launch } dag
 
 let shelf_pack ~p ~jobs =
   let sorted = List.sort (fun a b -> Float.compare b.time a.time) jobs in

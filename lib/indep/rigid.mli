@@ -25,7 +25,7 @@ val of_dag : alloc:(int -> int) -> p:int -> Dag.t -> job list
     @raise Invalid_argument if the graph has edges or an allocation is out
     of range. *)
 
-val list_schedule : p:int -> jobs:job list -> Dag.t -> Engine.result
+val list_schedule : p:int -> jobs:job list -> Dag.t -> Sim_core.result
 (** FIFO list scheduling of the rigid jobs (the graph supplies execution
     times for validation; it must be edgeless and consistent with [jobs]).
     Guarantees makespan [<= t_max + A / (P - w_max + 1)] where [w_max] is

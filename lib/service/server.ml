@@ -212,6 +212,16 @@ let abandon_phase sess =
 
 let events_json evs = Json.List (List.map (fun (t, e) -> Protocol.event_to_json t e) evs)
 
+(* A drained run's events from index [k] on, and its event count. *)
+let drained_events r k =
+  let trace = Sim_core.trace r in
+  let rec drop k = function
+    | rest when k = 0 -> rest
+    | [] -> []
+    | _ :: rest -> drop (k - 1) rest
+  in
+  (drop k trace, List.length trace)
+
 (* The new-events window appended to advance/drain responses while
    subscribed; advances the session cursor. *)
 let subscription_fields sess =
@@ -223,13 +233,8 @@ let subscription_fields sess =
       sess.ev_cursor <- Sim_core.Stepper.n_events st;
       [ ("events", events_json evs); ("next", num sess.ev_cursor) ]
     | Drained r ->
-      let rec drop k = function
-        | rest when k = 0 -> rest
-        | [] -> []
-        | _ :: rest -> drop (k - 1) rest
-      in
-      let evs = drop sess.ev_cursor r.Sim_core.trace in
-      sess.ev_cursor <- List.length r.Sim_core.trace;
+      let evs, total = drained_events r sess.ev_cursor in
+      sess.ev_cursor <- total;
       [ ("events", events_json evs); ("next", num sess.ev_cursor) ]
     | Idle -> []
 
@@ -392,17 +397,9 @@ let handle_events sess since =
         ],
       `Continue )
   | Drained r ->
-    let rec drop k = function
-      | rest when k = 0 -> rest
-      | [] -> []
-      | _ :: rest -> drop (k - 1) rest
-    in
-    let total = List.length r.Sim_core.trace in
+    let evs, total = drained_events r since in
     ( Protocol.ok
-        [
-          ("next", num (max since total));
-          ("events", events_json (drop since r.Sim_core.trace));
-        ],
+        [ ("next", num (max since total)); ("events", events_json evs) ],
       `Continue )
 
 let handle_schedule sess =

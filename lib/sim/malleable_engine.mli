@@ -34,7 +34,7 @@ type result = {
 
 val equal_share : p:int -> Dag.t -> result
 (** Water-filling malleable schedule (online reveal rules identical to
-    {!Engine.run}). *)
+    {!Sim_core.run}). *)
 
 val validate : dag:Dag.t -> p:int -> result -> (unit, string list) Stdlib.result
 (** Checks: phase capacity ([sum of allocations <= P], allocations in

@@ -21,24 +21,49 @@ type task_stat = {
   attempts : int;
 }
 
-type t = {
-  p : int;
-  counters : counters;
-  utilization : segment list;
-  queue_depth : (float * int) list;
-  tasks : task_stat array;
-}
+type t = { p : int; counters : counters; log : Event_log.t }
 
-(* Sweep over the execution spans (attempt start/finish/nprocs) to recover
-   the busy-processor timeline; simultaneous endpoints collapse into one
+(* Each task's first reveal and first launch, successful completion stamp,
+   total execution time and attempt count, in one pass over the log. *)
+let tasks t =
+  let n = Event_log.n t.log in
+  let ready = Array.make n nan and start = Array.make n nan in
+  let finish = Array.make n nan and service = Array.make n 0. in
+  let attempts = Array.make n 0 in
+  Event_log.iter t.log (fun time -> function
+    | Event_log.Revealed i -> if Float.is_nan ready.(i) then ready.(i) <- time
+    | Event_log.Launched (i, _) ->
+      if Float.is_nan start.(i) then start.(i) <- time;
+      attempts.(i) <- attempts.(i) + 1
+    | Event_log.Ended (a, stamp) ->
+      let i = a.Event_log.task_id in
+      service.(i) <- service.(i) +. (a.Event_log.finish -. a.Event_log.start);
+      if not a.Event_log.failed then finish.(i) <- stamp
+    | Event_log.Deferred _ | Event_log.Stalled | Event_log.Depth _ -> ());
+  Array.init n (fun i ->
+      {
+        task_id = i;
+        ready = ready.(i);
+        start = start.(i);
+        finish = finish.(i);
+        wait = start.(i) -. ready.(i);
+        service = service.(i);
+        attempts = attempts.(i);
+      })
+
+(* Sweep over the attempts' [start, finish) spans to recover the
+   busy-processor timeline; simultaneous endpoints collapse into one
    breakpoint so segments are maximal. *)
-let timeline_of_spans spans =
-  let deltas =
-    List.concat_map
-      (fun (start, finish, nprocs) -> [ (start, nprocs); (finish, -nprocs) ])
-      spans
-    |> List.sort (fun (ta, _) (tb, _) -> Float.compare ta tb)
-  in
+let utilization t =
+  let deltas = ref [] in
+  Event_log.iter t.log (fun _ -> function
+    | Event_log.Ended (a, _) ->
+      deltas :=
+        (a.Event_log.start, a.Event_log.nprocs)
+        :: (a.Event_log.finish, -a.Event_log.nprocs)
+        :: !deltas
+    | _ -> ());
+  let deltas = List.sort (fun (ta, _) (tb, _) -> Float.compare ta tb) !deltas in
   let rec sweep acc busy cursor = function
     | [] -> List.rev acc
     | (time, delta) :: rest ->
@@ -47,24 +72,30 @@ let timeline_of_spans spans =
   in
   match deltas with [] -> [] | (t0, _) :: _ -> sweep [] 0 t0 deltas
 
-let build ~p ~counters ~queue_depth ~tasks ~spans =
-  { p; counters; utilization = timeline_of_spans spans; queue_depth; tasks }
+let queue_depth t =
+  let samples = ref [] in
+  Event_log.iter t.log (fun time -> function
+    | Event_log.Depth d -> samples := (time, d) :: !samples
+    | _ -> ());
+  List.rev !samples
 
-let busy_area t =
+let area segments =
   List.fold_left
     (fun acc s -> acc +. (float_of_int s.busy *. (s.t1 -. s.t0)))
-    0. t.utilization
+    0. segments
 
-let span t =
-  List.fold_left (fun acc s -> Float.max acc s.t1) 0. t.utilization
+let horizon segments = List.fold_left (fun acc s -> Float.max acc s.t1) 0. segments
+let busy_area t = area (utilization t)
+let span t = horizon (utilization t)
 
 let average_utilization t =
-  let horizon = span t in
+  let segments = utilization t in
+  let horizon = horizon segments in
   if (not (Float.is_finite horizon)) || horizon <= 0. then 0.
-  else busy_area t /. (float_of_int t.p *. horizon)
+  else area segments /. (float_of_int t.p *. horizon)
 
 let max_queue_depth t =
-  List.fold_left (fun acc (_, d) -> max acc d) 0 t.queue_depth
+  List.fold_left (fun acc (_, d) -> max acc d) 0 (queue_depth t)
 
 (* Wait statistics skip non-finite samples (a wait is NaN when a task never
    started, e.g. in a partially-built report) and return 0 on an empty run,
@@ -77,13 +108,13 @@ let mean_wait t =
         incr n;
         sum := !sum +. ts.wait
       end)
-    t.tasks;
+    (tasks t);
   if !n = 0 then 0. else !sum /. float_of_int !n
 
 let max_wait t =
   Array.fold_left
     (fun acc ts -> if Float.is_finite ts.wait then Float.max acc ts.wait else acc)
-    0. t.tasks
+    0. (tasks t)
 
 (* ------------------------------------------------------------------ export *)
 
@@ -113,13 +144,13 @@ let to_json t =
       add
         (Printf.sprintf "{\"t0\": %s, \"t1\": %s, \"busy\": %d}" (f s.t0)
            (f s.t1) s.busy))
-    t.utilization;
+    (utilization t);
   add "],\n  \"queue_depth\": [";
   List.iteri
     (fun i (time, depth) ->
       if i > 0 then add ", ";
       add (Printf.sprintf "{\"time\": %s, \"depth\": %d}" (f time) depth))
-    t.queue_depth;
+    (queue_depth t);
   add "],\n  \"tasks\": [";
   Array.iteri
     (fun i ts ->
@@ -130,7 +161,7 @@ let to_json t =
             \"wait\": %s, \"service\": %s, \"attempts\": %d}"
            ts.task_id (f ts.ready) (f ts.start) (f ts.finish) (f ts.wait)
            (f ts.service) ts.attempts))
-    t.tasks;
+    (tasks t);
   add "]\n}\n";
   Buffer.contents buf
 
@@ -141,7 +172,7 @@ let utilization_csv t =
     (fun s ->
       Buffer.add_string buf
         (Printf.sprintf "%s,%s,%d\n" (f s.t0) (f s.t1) s.busy))
-    t.utilization;
+    (utilization t);
   Buffer.contents buf
 
 let queue_depth_csv t =
@@ -150,7 +181,7 @@ let queue_depth_csv t =
   List.iter
     (fun (time, depth) ->
       Buffer.add_string buf (Printf.sprintf "%s,%d\n" (f time) depth))
-    t.queue_depth;
+    (queue_depth t);
   Buffer.contents buf
 
 let tasks_csv t =
@@ -161,7 +192,7 @@ let tasks_csv t =
       Buffer.add_string buf
         (Printf.sprintf "%d,%s,%s,%s,%s,%s,%d\n" ts.task_id (f ts.ready)
            (f ts.start) (f ts.finish) (f ts.wait) (f ts.service) ts.attempts))
-    t.tasks;
+    (tasks t);
   Buffer.contents buf
 
 let pp ppf t =

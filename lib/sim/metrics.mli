@@ -1,10 +1,11 @@
 (** Run observability for the simulation core.
 
     Every {!Sim_core} run produces a [Metrics.t] alongside its schedule:
-    per-run counters, the busy-processor timeline, the ready-queue depth at
-    every scheduling instant, and per-task wait/service statistics.  The
-    record is cheap to collect (a few counters and one sample per event
-    batch) and exports to JSON or CSV for offline analysis next to the
+    the run counters, plus views over the run's {!Event_log} — the
+    busy-processor timeline, the ready-queue depth at every scheduling
+    instant, and per-task wait/service statistics.  The views are computed
+    on demand, so a run that never asks for them pays only for the log.
+    They export to JSON or CSV for offline analysis next to the
     [paper_artifacts/] outputs.
 
     Invariants (asserted by the test suite):
@@ -39,23 +40,16 @@ type task_stat = {
   attempts : int;   (** Attempts executed (1 when nothing failed). *)
 }
 
-type t = {
-  p : int;
-  counters : counters;
-  utilization : segment list;        (** Chronological busy timeline. *)
-  queue_depth : (float * int) list;  (** Ready-set size after each instant. *)
-  tasks : task_stat array;           (** Indexed by task id. *)
-}
+type t = { p : int; counters : counters; log : Event_log.t }
 
-val build :
-  p:int ->
-  counters:counters ->
-  queue_depth:(float * int) list ->
-  tasks:task_stat array ->
-  spans:(float * float * int) list ->
-  t
-(** Assembles a report; [spans] lists every attempt as
-    [(start, finish, nprocs)] and is swept into the utilization timeline. *)
+val tasks : t -> task_stat array
+(** Indexed by task id. *)
+
+val utilization : t -> segment list
+(** Chronological busy timeline, swept from the attempts' spans. *)
+
+val queue_depth : t -> (float * int) list
+(** Ready-set size after each scheduling instant, chronological. *)
 
 val busy_area : t -> float
 (** Integral of the utilization timeline ([sum busy * (t1 - t0)]). *)

@@ -33,13 +33,13 @@ let at_most ~k =
     fails = (fun _ ~task_id:_ ~attempt -> attempt <= k);
   }
 
-type event =
+type event = Event_log.event =
   | Ready of int
   | Start of int * int
   | Finish of int
   | Failed of int * int
 
-type attempt = {
+type attempt = Event_log.attempt = {
   task_id : int;
   attempt : int;
   start : float;
@@ -51,13 +51,29 @@ type attempt = {
 
 type result = {
   schedule : Schedule.t;
-  trace : (float * event) list;
-  attempts : attempt list;
   makespan : float;
   n_attempts : int;
   n_failures : int;
   metrics : Metrics.t;
+  log : Event_log.t;
 }
+
+let trace r = Event_log.events r.log
+
+let attempts r =
+  let acc = ref [] in
+  Event_log.iter r.log (fun _ -> function
+    | Event_log.Ended (a, _) -> acc := a :: !acc
+    | _ -> ());
+  List.sort
+    (fun x y ->
+      match Float.compare x.start y.start with
+      | 0 -> (
+        match Int.compare x.task_id y.task_id with
+        | 0 -> Int.compare x.attempt y.attempt
+        | c -> c)
+      | c -> c)
+    !acc
 
 (* Task states, as int codes so the arena's state array is a plain
    [int array] reusable across runs. *)
@@ -74,7 +90,7 @@ let dummy_task = Task.make ~label:"-" ~id:0 (Speedup.Roofline { w = 1.; ptilde =
 
 (* All per-run storage in one reusable bundle: the event heap, the per-task
    bookkeeping arrays, the incremental task/edge store of the stepper, the
-   recording buffers and the platform.
+   event-log recorder and the platform.
    [ensure] grows everything to the (p, n) high-water mark; nothing
    shrinks, so a pool domain that sweeps many cells allocates the arrays
    once and reuses them for every run. *)
@@ -86,10 +102,6 @@ module Arena = struct
     mutable state : int array;
     mutable indeg : int array;
     mutable attempt_no : int array;
-    mutable first_ready : float array;
-    mutable first_start : float array;
-    mutable service : float array;
-    mutable run_start : float array; (* start stamp of the running attempt *)
     mutable run_procs : int array array; (* procs of the running attempt *)
     mutable outcomes : int array; (* per-batch classification buffer *)
     (* Incremental task/graph store: tasks and release times land here as
@@ -106,21 +118,7 @@ module Arena = struct
     edge_to : Growbuf.I.t;
     edge_next : Growbuf.I.t;
     pending : Growbuf.I.t; (* admitted dependency-free, not yet revealed *)
-    (* Successful placements (stride 1 int, stride 2 float, 1 procs array
-       per success); turned into the [Schedule.t] once, at drain. *)
-    pl_ints : Growbuf.I.t;
-    pl_floats : Growbuf.F.t;
-    pl_procs : int array Growbuf.A.t;
-    (* Full-mode recording buffers; converted to the public list-shaped
-       result fields once at the end of a run. *)
-    tr_times : Growbuf.F.t;
-    tr_a : Growbuf.I.t; (* event kind (2 bits) lor (first arg lsl 2) *)
-    tr_b : Growbuf.I.t; (* second arg, 0 when absent *)
-    at_ints : Growbuf.I.t; (* stride 3: task_id, attempt, nprocs*2+failed *)
-    at_floats : Growbuf.F.t; (* stride 2: start, finish *)
-    at_procs : int array Growbuf.A.t;
-    qd_times : Growbuf.F.t;
-    qd_depths : Growbuf.I.t;
+    log : Event_log.recorder; (* copied out of the arena at drain *)
     mutable in_use : bool;
         (* A nested/concurrent run on the same arena would corrupt it;
            [Stepper.create] checks the flag and falls back to a private
@@ -135,10 +133,6 @@ module Arena = struct
       state = [||];
       indeg = [||];
       attempt_no = [||];
-      first_ready = [||];
-      first_start = [||];
-      service = [||];
-      run_start = [||];
       run_procs = [||];
       outcomes = [||];
       tasks = [||];
@@ -148,17 +142,7 @@ module Arena = struct
       edge_to = Growbuf.I.create ();
       edge_next = Growbuf.I.create ();
       pending = Growbuf.I.create ();
-      pl_ints = Growbuf.I.create ();
-      pl_floats = Growbuf.F.create ();
-      pl_procs = Growbuf.A.create ~dummy:[||] ();
-      tr_times = Growbuf.F.create ();
-      tr_a = Growbuf.I.create ();
-      tr_b = Growbuf.I.create ();
-      at_ints = Growbuf.I.create ();
-      at_floats = Growbuf.F.create ();
-      at_procs = Growbuf.A.create ~dummy:[||] ();
-      qd_times = Growbuf.F.create ();
-      qd_depths = Growbuf.I.create ();
+      log = Event_log.recorder ();
       in_use = false;
     }
 
@@ -168,10 +152,6 @@ module Arena = struct
       t.state <- Array.make cap st_unrevealed;
       t.indeg <- Array.make cap 0;
       t.attempt_no <- Array.make cap 0;
-      t.first_ready <- Array.make cap nan;
-      t.first_start <- Array.make cap nan;
-      t.service <- Array.make cap 0.;
-      t.run_start <- Array.make cap 0.;
       t.run_procs <- Array.make cap [||];
       t.tasks <- Array.make cap dummy_task;
       t.rel <- Array.make cap 0.;
@@ -197,10 +177,6 @@ module Arena = struct
       t.state <- gi st_unrevealed t.state;
       t.indeg <- gi 0 t.indeg;
       t.attempt_no <- gi 0 t.attempt_no;
-      t.first_ready <- gi nan t.first_ready;
-      t.first_start <- gi nan t.first_start;
-      t.service <- gi 0. t.service;
-      t.run_start <- gi 0. t.run_start;
       t.run_procs <- gi [||] t.run_procs;
       t.tasks <- gi dummy_task t.tasks;
       t.rel <- gi 0. t.rel;
@@ -221,21 +197,14 @@ module Arena = struct
 end
 
 (* Event payload encoding for the int-keyed queue: the low bit tags the
-   kind, the rest is the task id.  The side data a completion used to carry
-   in a [Complete] record (attempt number, start stamp, processor block)
-   lives in the arena's per-task arrays — a task has at most one
-   outstanding attempt — and the exact finish stamp is the event's own heap
+   kind, the rest is the task id.  The side data a completion needs
+   (attempt number, processor block) lives in the arena's per-task arrays —
+   a task has at most one outstanding attempt; its start is in the event
+   log — and the exact finish stamp is the event's own heap
    key ([Event_queue.batch_stamp]), which [pop_simultaneous]-style batching
    preserves per event. *)
 let[@inline] enc_reveal i = i lsl 1
 let[@inline] enc_complete tid = (tid lsl 1) lor 1
-
-(* Trace event encoding for the recording buffers: kind in the low 2 bits
-   of [tr_a], first argument above them, second argument in [tr_b]. *)
-let ev_ready = 0
-let ev_start = 1
-let ev_finish = 2
-let ev_failed = 3
 
 let validate_inputs ?release_times ~max_attempts ~n () =
   (match release_times with
@@ -263,8 +232,6 @@ module Stepper = struct
   type t = {
     policy : policy;
     p : int;
-    lean : bool;
-    recording : bool;
     traced : bool;
     tracer : Tracer.t;
     registry : Moldable_obs.Registry.t;
@@ -274,6 +241,7 @@ module Stepper = struct
     arena : Arena.t;
     platform : Platform.t;
     events : Event_queue.t;
+    log : Event_log.recorder;
     counters : Metrics.counters;
     (* One-cell float arrays, not mutable float fields: in a mixed record a
        float-field store allocates a box, a float-array store does not, and
@@ -293,7 +261,7 @@ module Stepper = struct
 
   let create ?(seed = 0) ?(max_attempts = max_int) ?(failures = never)
       ?(tracer = Tracer.null) ?(registry = Moldable_obs.Registry.null) ?arena
-      ?(lean = false) ?(capacity = 0) ~p policy =
+      ?(capacity = 0) ~p policy =
     if max_attempts < 1 then
       invalid_arg "Sim_core.Stepper.create: max_attempts must be >= 1";
     if capacity < 0 then
@@ -313,22 +281,10 @@ module Stepper = struct
     Growbuf.I.clear a.Arena.edge_to;
     Growbuf.I.clear a.Arena.edge_next;
     Growbuf.I.clear a.Arena.pending;
-    Growbuf.I.clear a.Arena.pl_ints;
-    Growbuf.F.clear a.Arena.pl_floats;
-    Growbuf.A.clear a.Arena.pl_procs;
-    Growbuf.F.clear a.Arena.tr_times;
-    Growbuf.I.clear a.Arena.tr_a;
-    Growbuf.I.clear a.Arena.tr_b;
-    Growbuf.I.clear a.Arena.at_ints;
-    Growbuf.F.clear a.Arena.at_floats;
-    Growbuf.A.clear a.Arena.at_procs;
-    Growbuf.F.clear a.Arena.qd_times;
-    Growbuf.I.clear a.Arena.qd_depths;
+    Event_log.clear a.Arena.log;
     {
       policy;
       p;
-      lean;
-      recording = not lean;
       traced;
       tracer;
       registry;
@@ -338,6 +294,7 @@ module Stepper = struct
       arena = a;
       platform = Option.get a.Arena.platform;
       events = a.Arena.events;
+      log = a.Arena.log;
       counters = Metrics.make_counters ();
       ms = Array.make 1 0.;
       now_cell = Array.make 1 0.;
@@ -373,16 +330,6 @@ module Stepper = struct
         succ_last.(k) <- -1;
         rel.(k) <- 0.
       done;
-      if st.recording then begin
-        let first_ready = a.Arena.first_ready
-        and first_start = a.Arena.first_start
-        and service = a.Arena.service in
-        for k = st.init_hi to j do
-          first_ready.(k) <- nan;
-          first_start.(k) <- nan;
-          service.(k) <- 0.
-        done
-      end;
       st.init_hi <- j + 1
     end
 
@@ -454,12 +401,6 @@ module Stepper = struct
       (match release_time with None -> 0. | Some r -> r)
       deps task
 
-  let record_ev st now kind arg1 arg2 =
-    let a = st.arena in
-    Growbuf.F.push a.Arena.tr_times now;
-    Growbuf.I.push a.Arena.tr_a (kind lor (arg1 lsl 2));
-    Growbuf.I.push a.Arena.tr_b arg2
-
   let fail st fmt =
     Printf.ksprintf
       (fun s -> raise (Policy_error (st.policy.name ^ ": " ^ s)))
@@ -469,13 +410,7 @@ module Stepper = struct
     let a = st.arena in
     a.Arena.state.(i) <- st_available;
     st.ready_count <- st.ready_count + 1;
-    if st.recording then begin
-      if Float.is_nan a.Arena.first_ready.(i) then
-        a.Arena.first_ready.(i) <- now;
-      record_ev st now ev_ready i 0
-    end;
-    if st.traced then
-      Tracer.record_instant st.tracer ~time:now ~kind:Tracer.Ready ~subject:i;
+    Event_log.revealed st.log now i;
     st.policy.on_ready ~now a.Arena.tasks.(i)
 
   (* A task whose precedence constraints are satisfied at [now] is revealed
@@ -484,9 +419,7 @@ module Stepper = struct
     let r = st.arena.Arena.rel.(i) in
     if r <= now then reveal st now i
     else begin
-      if st.traced then
-        Tracer.record_instant st.tracer ~time:now ~kind:Tracer.Deferred
-          ~subject:i;
+      Event_log.deferred st.log now i;
       Event_queue.add st.events ~time:r (enc_reveal i)
     end
 
@@ -497,9 +430,7 @@ module Stepper = struct
       | None ->
         st.counters.Metrics.stall_checks <-
           st.counters.Metrics.stall_checks + 1;
-        if st.traced && st.ready_count > 0 then
-          Tracer.record_instant st.tracer ~time:now ~kind:Tracer.Stall
-            ~subject:(-1)
+        if st.ready_count > 0 then Event_log.stalled st.log now
       | Some (tid, nprocs) ->
         let a = st.arena in
         if tid < 0 || tid >= st.n then fail st "launched unknown task %d" tid;
@@ -529,12 +460,7 @@ module Stepper = struct
         st.n_running <- st.n_running + 1;
         a.Arena.attempt_no.(tid) <- a.Arena.attempt_no.(tid) + 1;
         st.counters.Metrics.launches <- st.counters.Metrics.launches + 1;
-        if st.recording then begin
-          if Float.is_nan a.Arena.first_start.(tid) then
-            a.Arena.first_start.(tid) <- now;
-          record_ev st now ev_start tid nprocs
-        end;
-        a.Arena.run_start.(tid) <- now;
+        Event_log.launched st.log now tid procs;
         a.Arena.run_procs.(tid) <- procs;
         Event_queue.add st.events ~time:(now +. duration) (enc_complete tid);
         launch_round_untimed st now
@@ -545,11 +471,7 @@ module Stepper = struct
           launch_round_untimed st now)
     else launch_round_untimed st now
 
-  let sample_depth st now =
-    if st.recording then begin
-      Growbuf.F.push st.arena.Arena.qd_times now;
-      Growbuf.I.push st.arena.Arena.qd_depths st.ready_count
-    end
+  let sample_depth st now = Event_log.depth st.log now st.ready_count
 
   let rec unlock_edges st now e =
     if e >= 0 then begin
@@ -571,9 +493,7 @@ module Stepper = struct
     let outcomes = Arena.outcomes_for a blen in
     let attempt_no = a.Arena.attempt_no
     and state = a.Arena.state
-    and run_start = a.Arena.run_start
-    and run_procs = a.Arena.run_procs
-    and service = a.Arena.service in
+    and run_procs = a.Arena.run_procs in
     (* Phase 1 — completions: release the processors of every attempt in
        the batch and classify it (consuming the failure RNG in batch
        order), so the policy later sees the full free count of this
@@ -584,42 +504,22 @@ module Stepper = struct
         let tid = payload lsr 1 in
         let stamp = Event_queue.batch_stamp events k in
         let attempt = attempt_no.(tid) in
-        let start = run_start.(tid) in
-        let procs = run_procs.(tid) in
         let failed = st.failures.fails st.rng ~task_id:tid ~attempt in
         st.n_running <- st.n_running - 1;
-        if st.recording then begin
-          (* Attempt records report the batch instant as their finish (the
-             instant the attempt's outcome became known); the schedule
-             keeps the exact stamp. *)
-          Growbuf.I.push a.Arena.at_ints tid;
-          Growbuf.I.push a.Arena.at_ints attempt;
-          Growbuf.I.push a.Arena.at_ints
-            ((Array.length procs lsl 1) lor Bool.to_int failed);
-          Growbuf.F.push a.Arena.at_floats start;
-          Growbuf.F.push a.Arena.at_floats now;
-          Growbuf.A.push a.Arena.at_procs procs;
-          service.(tid) <- service.(tid) +. (now -. start)
-        end;
-        if st.traced then
-          Tracer.record_span st.tracer ~task_id:tid ~attempt ~t0:start
-            ~t1:now ~procs ~failed;
+        (* The entry's time is the batch instant (when the attempt's
+           outcome became known); the exact stamp goes with it, for the
+           schedule. *)
+        Event_log.ended st.log now tid ~attempt ~stamp ~failed;
         if now > st.ms.(0) then st.ms.(0) <- now;
-        Platform.release st.platform procs;
+        Platform.release st.platform run_procs.(tid);
         if failed then begin
           st.n_failures <- st.n_failures + 1;
           st.counters.Metrics.retries <- st.counters.Metrics.retries + 1;
-          if st.recording then record_ev st now ev_failed tid attempt;
           outcomes.(k) <- 1
         end
         else begin
           state.(tid) <- st_done;
           st.completed <- st.completed + 1;
-          if st.recording then record_ev st now ev_finish tid 0;
-          Growbuf.I.push a.Arena.pl_ints tid;
-          Growbuf.F.push a.Arena.pl_floats start;
-          Growbuf.F.push a.Arena.pl_floats stamp;
-          Growbuf.A.push a.Arena.pl_procs procs;
           outcomes.(k) <- 0
         end
       end
@@ -697,106 +597,25 @@ module Stepper = struct
       st.now_cell.(0) <- until;
     !batches
 
+  (* Replays the log into an attached tracer, in log order: an execution
+     span per attempt, and instants for reveals, deferred reveals and
+     stalls. *)
+  let replay_into tracer log =
+    Event_log.iter log (fun time -> function
+      | Event_log.Revealed i ->
+        Tracer.record_instant tracer ~time ~kind:Tracer.Ready ~subject:i
+      | Event_log.Deferred i ->
+        Tracer.record_instant tracer ~time ~kind:Tracer.Deferred ~subject:i
+      | Event_log.Stalled ->
+        Tracer.record_instant tracer ~time ~kind:Tracer.Stall ~subject:(-1)
+      | Event_log.Ended (a, _) ->
+        Tracer.record_span tracer ~task_id:a.task_id ~attempt:a.attempt
+          ~t0:a.start ~t1:a.finish ~procs:a.procs ~failed:a.failed
+      | Event_log.Launched _ | Event_log.Depth _ -> ())
+
   let finalize st =
-    let a = st.arena in
-    let n = st.n in
-    let attempts =
-      if st.lean then []
-      else begin
-        let m = Growbuf.A.length a.Arena.at_procs in
-        let lst = ref [] in
-        for k = m - 1 downto 0 do
-          let packed = Growbuf.I.get a.Arena.at_ints ((3 * k) + 2) in
-          lst :=
-            {
-              task_id = Growbuf.I.get a.Arena.at_ints (3 * k);
-              attempt = Growbuf.I.get a.Arena.at_ints ((3 * k) + 1);
-              start = Growbuf.F.get a.Arena.at_floats (2 * k);
-              finish = Growbuf.F.get a.Arena.at_floats ((2 * k) + 1);
-              nprocs = packed lsr 1;
-              procs = Growbuf.A.get a.Arena.at_procs k;
-              failed = packed land 1 = 1;
-            }
-            :: !lst
-        done;
-        List.sort
-          (fun x y ->
-            match Float.compare x.start y.start with
-            | 0 -> (
-              match Int.compare x.task_id y.task_id with
-              | 0 -> Int.compare x.attempt y.attempt
-              | c -> c)
-            | c -> c)
-          !lst
-      end
-    in
-    let builder = Schedule.builder ~p:st.p ~n in
-    let m = Growbuf.A.length a.Arena.pl_procs in
-    for k = 0 to m - 1 do
-      let procs = Growbuf.A.get a.Arena.pl_procs k in
-      Schedule.add builder
-        {
-          Schedule.task_id = Growbuf.I.get a.Arena.pl_ints k;
-          start = Growbuf.F.get a.Arena.pl_floats (2 * k);
-          finish = Growbuf.F.get a.Arena.pl_floats ((2 * k) + 1);
-          nprocs = Array.length procs;
-          procs;
-        }
-    done;
-    let schedule = Schedule.finalize builder in
-    let trace =
-      if st.lean then []
-      else begin
-        let m = Growbuf.F.length a.Arena.tr_times in
-        let lst = ref [] in
-        for k = m - 1 downto 0 do
-          let packed = Growbuf.I.get a.Arena.tr_a k in
-          let arg1 = packed lsr 2 and b = Growbuf.I.get a.Arena.tr_b k in
-          let ev =
-            match packed land 3 with
-            | 0 -> Ready arg1
-            | 1 -> Start (arg1, b)
-            | 2 -> Finish arg1
-            | _ -> Failed (arg1, b)
-          in
-          lst := (Growbuf.F.get a.Arena.tr_times k, ev) :: !lst
-        done;
-        !lst
-      end
-    in
-    let metrics =
-      if st.lean then
-        Metrics.build ~p:st.p ~counters:st.counters ~queue_depth:[]
-          ~tasks:[||] ~spans:[]
-      else begin
-        let first_ready = a.Arena.first_ready
-        and first_start = a.Arena.first_start
-        and service = a.Arena.service
-        and attempt_no = a.Arena.attempt_no in
-        let tasks =
-          Array.init n (fun i ->
-              {
-                Metrics.task_id = i;
-                ready = first_ready.(i);
-                start = first_start.(i);
-                finish = (Schedule.placement schedule i).Schedule.finish;
-                wait = first_start.(i) -. first_ready.(i);
-                service = service.(i);
-                attempts = attempt_no.(i);
-              })
-        in
-        let queue_depth =
-          List.init (Growbuf.F.length a.Arena.qd_times) (fun k ->
-              ( Growbuf.F.get a.Arena.qd_times k,
-                Growbuf.I.get a.Arena.qd_depths k ))
-        in
-        let spans =
-          List.map (fun at -> (at.start, at.finish, at.nprocs)) attempts
-        in
-        Metrics.build ~p:st.p ~counters:st.counters ~queue_depth ~tasks
-          ~spans
-      end
-    in
+    let log = Event_log.freeze st.log ~n:st.n in
+    if st.traced then replay_into st.tracer log;
     (* Publish the run counters to an attached telemetry registry in one
        shot: the totals are identical to incrementing per event, and the
        hot loop stays untouched (a [Registry.null] run skips this block
@@ -820,13 +639,12 @@ module Stepper = struct
        c "moldable_sim_runs" "Completed simulation runs" 1
      end);
     {
-      schedule;
-      trace;
-      attempts;
+      schedule = Event_log.schedule log ~p:st.p;
       makespan = st.ms.(0);
       n_attempts = st.counters.Metrics.launches;
       n_failures = st.n_failures;
-      metrics;
+      metrics = { Metrics.p = st.p; counters = st.counters; log };
+      log;
     }
 
   let drain st =
@@ -872,36 +690,18 @@ module Stepper = struct
   let free_procs st = Platform.free_count st.platform
   let makespan_so_far st = st.ms.(0)
   let next_event_time st = Event_queue.next_time st.events
-  let n_events st = Growbuf.F.length st.arena.Arena.tr_times
-
-  let events_from st k0 =
-    let a = st.arena in
-    let m = Growbuf.F.length a.Arena.tr_times in
-    let lst = ref [] in
-    for k = m - 1 downto max 0 k0 do
-      let packed = Growbuf.I.get a.Arena.tr_a k in
-      let arg1 = packed lsr 2 and b = Growbuf.I.get a.Arena.tr_b k in
-      let ev =
-        match packed land 3 with
-        | 0 -> Ready arg1
-        | 1 -> Start (arg1, b)
-        | 2 -> Finish arg1
-        | _ -> Failed (arg1, b)
-      in
-      lst := (Growbuf.F.get a.Arena.tr_times k, ev) :: !lst
-    done;
-    !lst
+  let n_events st = Event_log.n_events st.log
+  let events_from st k = Event_log.events_from st.log k
 end
 
 let run ?release_times ?(seed = 0) ?(max_attempts = max_int)
     ?(failures = never) ?(tracer = Tracer.null)
-    ?(registry = Moldable_obs.Registry.null) ?arena ?(lean = false) ~p policy
-    dag =
+    ?(registry = Moldable_obs.Registry.null) ?arena ~p policy dag =
   let n = Dag.n dag in
   validate_inputs ?release_times ~max_attempts ~n ();
   let st =
     Stepper.create ~seed ~max_attempts ~failures ~tracer ~registry ?arena
-      ~lean ~capacity:n ~p policy
+      ~capacity:n ~p policy
   in
   match
     (match release_times with

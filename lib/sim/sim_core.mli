@@ -1,14 +1,14 @@
-(** The unified online simulation core.
+(** The online simulation core: the one event loop behind every
+    discrete-event simulation in this repository.
 
-    One event loop drives every discrete-event simulation in this
-    repository: graph reveal on precedence satisfaction, deferred reveals on
-    release times, batched simultaneous completions (ulp-tolerant, see
-    {!Event_queue.pop_simultaneous}), greedy launch rounds against the
-    policy, and per-attempt fault injection with retry accounting.
-    {!Engine} ([never] failures) and {!Failure_engine} are thin
-    instantiations — the three hand-copied loops they used to carry had
-    already drifted apart (release times, [Schedule.t] and traces existed
-    only in one of them).
+    The loop reveals the graph to the scheduling policy exactly as the
+    online model of Section 3.1 prescribes: a task (and its speedup
+    parameters) becomes visible only once all its predecessors have
+    completed — and, with release times, once it is released.  The policy
+    never sees the [Dag.t].  Completions that fall within the batching
+    epsilon are processed as one scheduling instant (ulp-tolerant, see
+    {!Event_queue.pop_simultaneous}); attempts may fail under a
+    {!failure_model} and are then retried.
 
     The loop processes each scheduling instant in three phases so the
     policy always sees the full free count and ready set of the instant:
@@ -16,11 +16,13 @@
     classify it against the failure model, (2) reveal failed attempts and
     release-time reveals in batch order, then newly unblocked successors,
     (3) run a launch round until the policy declines or no processor is
-    free.
+    free.  This is precisely the event structure of Algorithm 1.
 
-    Every run is instrumented: see {!Metrics}.  A plain reference loop in
-    the test suite (test/test_sim_core.ml) is the differential oracle that
-    pins {!run}, {!Engine.run} and {!Failure_engine.run}. *)
+    Every run records one chronological {!Event_log}.  The result's
+    schedule, {!trace}, {!attempts}, {!Metrics} views and an attached
+    tracer's spans and instants are all derived from it.  A plain
+    reference loop in the test suite (test/test_sim_core.ml) is the
+    differential oracle that pins {!run}. *)
 
 open Moldable_util
 open Moldable_model
@@ -59,13 +61,13 @@ val at_most : k:int -> failure_model
 (** Deterministic: the first [k] attempts of every task fail, the next
     succeeds — handy for exact makespan assertions in tests. *)
 
-type event =
+type event = Event_log.event =
   | Ready of int        (** Task revealed (or re-revealed after a failure). *)
   | Start of int * int  (** Task id, allocation. *)
   | Finish of int       (** Successful completion. *)
   | Failed of int * int (** Task id, 1-based attempt that failed. *)
 
-type attempt = {
+type attempt = Event_log.attempt = {
   task_id : int;
   attempt : int;      (** 1-based attempt number. *)
   start : float;
@@ -77,20 +79,24 @@ type attempt = {
 
 type result = {
   schedule : Schedule.t;
-      (** One placement per task: its successful attempt. *)
-  trace : (float * event) list;  (** Chronological.  Empty in lean mode. *)
-  attempts : attempt list;
-      (** Chronological (by start, then task id and attempt).  Empty in
-          lean mode. *)
+      (** One placement per task: its successful attempt, finishing at the
+          attempt's exact completion stamp. *)
   makespan : float;
   n_attempts : int;
   n_failures : int;
-  metrics : Metrics.t;
+  metrics : Metrics.t;  (** Run counters and views over [log]. *)
+  log : Event_log.t;    (** The run's event log, owned by the result. *)
 }
 
+val trace : result -> (float * event) list
+(** The run's events, chronological. *)
+
+val attempts : result -> attempt list
+(** Every attempt, chronological (by start, then task id and attempt). *)
+
 (** Reusable per-run storage: the event heap, per-task bookkeeping arrays,
-    recording buffers and the platform, all sized to the (p, n) high-water mark of the runs that used the
-    arena.  Passing the same arena to successive {!run}s makes the steady
+    the event-log recorder and the platform, all sized to the (p, n)
+    high-water mark of the runs that used the arena.  Passing the same arena to successive {!run}s makes the steady
     state of a sweep allocation-free outside the result values themselves.
 
     An arena is single-run at a time: if a run is asked to use an arena
@@ -135,7 +141,6 @@ module Stepper : sig
     ?tracer:Tracer.t ->
     ?registry:Moldable_obs.Registry.t ->
     ?arena:Arena.t ->
-    ?lean:bool ->
     ?capacity:int ->
     p:int ->
     policy ->
@@ -215,12 +220,13 @@ module Stepper : sig
       would process ([None] when nothing is queued). *)
 
   val n_events : t -> int
-  (** Trace events recorded so far (0 in lean mode). *)
+  (** Trace events recorded so far. *)
 
   val events_from : t -> int -> (float * event) list
   (** [events_from t k] is the chronological trace suffix starting at
       event index [k]: the incremental window a subscriber polls with
-      [k = n_events] from the previous call.  Always empty in lean mode. *)
+      [k = n_events] from the previous call.  After {!drain} it is the
+      matching suffix of {!trace} of the result. *)
 end
 
 val run :
@@ -231,7 +237,6 @@ val run :
   ?tracer:Tracer.t ->
   ?registry:Moldable_obs.Registry.t ->
   ?arena:Arena.t ->
-  ?lean:bool ->
   p:int ->
   policy ->
   Dag.t ->
@@ -242,21 +247,20 @@ val run :
     delays the reveal of each task to the maximum of its release time and
     the completion of its last predecessor.  [seed] (default 0) seeds the
     failure RNG.  [arena] supplies reusable per-run storage (see {!Arena});
-    by default every run allocates fresh storage.  [lean:true] (default
-    [false]) skips all trace/attempt/metric recording for makespan-only
-    consumers: the result's [trace] and [attempts] are [[]] and [metrics]
-    carries only the run counters, while [schedule], [makespan],
-    [n_attempts] and [n_failures] are exactly those of the full run.
-    [max_attempts] (default unlimited) bounds the attempts
+    by default every run allocates fresh storage.  Every run records its
+    {!Event_log}; the result's schedule is built from it and it is copied
+    out of the arena at the end, so a result never shares storage with a
+    later run.  [max_attempts] (default unlimited) bounds the attempts
     per task; the bound is checked {e before} any processor is acquired or
     event queued, and the error names the task, its attempt count and the
     failure model.  [failures] defaults to {!never}.
 
-    [tracer] (default {!Tracer.null}, i.e. off) records execution spans for
-    every attempt, instant markers for reveals/deferred releases/stalls and
-    self-profile timers ([event-loop], [launch-round]); tracing never
-    affects the schedule, and a [Tracer.null] run performs no tracing work
-    beyond one branch per hook.
+    [tracer] (default {!Tracer.null}, i.e. off) receives self-profile timers
+    ([event-loop], [launch-round]) during the run and, replayed from the
+    log at the end, execution spans for every attempt and instant markers
+    for reveals/deferred releases/stalls; tracing never affects the
+    schedule, and a [Tracer.null] run performs no tracing work beyond one
+    branch per hook.
 
     [registry] (default {!Moldable_obs.Registry.null}, i.e. off) receives
     the run's counters as process-wide telemetry — [moldable_sim_events],

@@ -12,7 +12,8 @@
       duplicate the record: provenance is per task, not per attempt.
     - {e execution spans} — one {!span} per attempt (start, end, processor
       set, completed/failed), plus {!instant} markers for reveals, deferred
-      releases and stalls.  {!Moldable_viz.Chrome_trace} renders these as a
+      releases and stalls, replayed from the run's {!Event_log} when the
+      run ends.  {!Moldable_viz.Chrome_trace} renders these as a
       Chrome trace-event JSON for [chrome://tracing] / Perfetto.
     - {e self-profile} — named wall-clock timers ({!Moldable_util.Clock})
       charged by the event loop and the policy (event loop, launch rounds,

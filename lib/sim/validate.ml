@@ -87,3 +87,108 @@ let respects_allocation_bound ~dag sched =
     if pl.Schedule.nprocs > a.Task.p_max then ok := false
   done;
   !ok
+
+let attempts ~dag ~p attempts =
+  let errors = ref [] in
+  let err fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
+  let n = Dag.n dag in
+  (* Records with a task or processor id out of range are reported and
+     kept out of the checks below, which index arrays by those ids. *)
+  let attempts =
+    List.filter
+      (fun (a : Sim_core.attempt) ->
+        let known = a.task_id >= 0 && a.task_id < n in
+        if not known then
+          err "attempt %d names unknown task %d" a.attempt a.task_id;
+        if Array.length a.procs <> a.nprocs then
+          err "task %d attempt %d lists %d processors for allocation %d"
+            a.task_id a.attempt (Array.length a.procs) a.nprocs;
+        let in_range = Array.for_all (fun q -> q >= 0 && q < p) a.procs in
+        if not in_range then
+          err "task %d attempt %d uses a processor outside [0, %d)" a.task_id
+            a.attempt p;
+        known && in_range)
+      attempts
+  in
+  let success_finish = Array.make n nan in
+  let per_task = Array.make n [] in
+  List.iter
+    (fun (a : Sim_core.attempt) ->
+      per_task.(a.task_id) <- a :: per_task.(a.task_id))
+    attempts;
+  for i = 0 to n - 1 do
+    let atts =
+      List.sort
+        (fun (a : Sim_core.attempt) (b : Sim_core.attempt) ->
+          Int.compare a.attempt b.attempt)
+        per_task.(i)
+    in
+    match atts with
+    | [] -> err "task %d never executed" i
+    | _ ->
+      let k = List.length atts in
+      List.iteri
+        (fun idx (a : Sim_core.attempt) ->
+          if a.attempt <> idx + 1 then
+            err "task %d attempt numbering broken at %d" i a.attempt;
+          if a.nprocs < 1 || a.nprocs > p then
+            err "task %d attempt %d has bad allocation %d" i a.attempt a.nprocs
+          else if
+            not
+              (Moldable_util.Fcmp.approx ~eps:1e-6
+                 (Task.time (Dag.task dag i) a.nprocs)
+                 (a.finish -. a.start))
+          then err "task %d attempt %d has wrong duration" i a.attempt;
+          if idx = k - 1 then
+            if a.failed then err "task %d's last attempt failed" i
+            else success_finish.(i) <- a.finish
+          else if not a.failed then
+            err "task %d attempt %d succeeded but was re-executed" i a.attempt)
+        atts
+  done;
+  (* Precedence against successful completions: no attempt of a successor
+     may start before every predecessor's success.  A predecessor that never
+     succeeded leaves [success_finish] at NaN, and every float comparison
+     with NaN is false — so the NaN case must be flagged explicitly or the
+     whole downstream subgraph would be silently accepted. *)
+  List.iter
+    (fun (i, j) ->
+      List.iter
+        (fun (a : Sim_core.attempt) ->
+          if Float.is_nan success_finish.(i) then
+            err
+              "task %d attempt %d ran although predecessor %d never succeeded"
+              j a.attempt i
+          else if Moldable_util.Fcmp.lt ~eps:1e-6 a.start success_finish.(i)
+          then
+            err "task %d attempt %d starts before predecessor %d succeeds" j
+              a.attempt i)
+        per_task.(j))
+    (Dag.edges dag);
+  (* Processor disjointness sweep over attempts. *)
+  let evs =
+    List.concat_map
+      (fun (a : Sim_core.attempt) -> [ (a.finish, 0, a); (a.start, 1, a) ])
+      attempts
+    |> List.sort (fun (ta, ka, _) (tb, kb, _) ->
+           match Float.compare ta tb with 0 -> Int.compare ka kb | c -> c)
+  in
+  let occupied = Array.make p false in
+  List.iter
+    (fun (_, phase, (a : Sim_core.attempt)) ->
+      Array.iter
+        (fun proc ->
+          if phase = 0 then occupied.(proc) <- false
+          else if occupied.(proc) then
+            err "processor %d double-booked around task %d attempt %d" proc
+              a.task_id a.attempt
+          else occupied.(proc) <- true)
+        a.procs)
+    evs;
+  match !errors with [] -> Ok () | es -> Error (List.rev es)
+
+let attempts_exn ~dag ~p atts =
+  match attempts ~dag ~p atts with
+  | Ok () -> ()
+  | Error es ->
+    failwith ("invalid failure-schedule:\n  " ^ String.concat "\n  " es)

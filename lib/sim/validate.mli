@@ -29,3 +29,18 @@ val check_exn : ?pool:Moldable_util.Pool.t -> dag:Dag.t -> Schedule.t -> unit
 val respects_allocation_bound : dag:Dag.t -> Schedule.t -> bool
 (** True when every allocation is at most the task's [p_max] (Equation (5)) —
     a property of reasonable algorithms (Section 3.2), not of feasibility. *)
+
+val attempts :
+  dag:Dag.t -> p:int -> Sim_core.attempt list -> (unit, string list) result
+(** Checks the attempts of a failure-prone run ({!Sim_core.attempts}):
+    every task has exactly one successful attempt and it is its last;
+    attempt durations equal [t(nprocs)]; precedence constraints hold
+    against the {e successful} completion of predecessors (a predecessor
+    that never succeeded is itself a violation for every downstream
+    attempt); no processor is shared by two concurrent attempts.  Malformed
+    records — a task id outside [\[0, n)], a processor id outside
+    [\[0, p)], or a processor list whose length is not [nprocs] — are
+    reported as errors too. *)
+
+val attempts_exn : dag:Dag.t -> p:int -> Sim_core.attempt list -> unit
+(** @raise Failure with the concatenated violations. *)

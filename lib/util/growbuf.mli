@@ -1,10 +1,10 @@
 (** Growable typed buffers: append-only arrays that double in place.
 
-    The simulation core records its trace, attempt and queue-depth streams
-    into these instead of cons lists — a push is an array store (amortized;
-    no per-element boxing for the float and int variants), and the buffers
-    are [clear]ed and reused across runs by the arena.  The recorded
-    prefix converts to the public list shapes once, at the end of a run. *)
+    The simulation core records its event log into these instead of cons
+    lists — a push is an array store (amortized; no per-element boxing for
+    the float and int variants), and the buffers are [clear]ed and reused
+    across runs by the arena.  The recorded prefix is copied out once, at
+    the end of a run ([to_array]). *)
 
 module F : sig
   (** Unboxed float buffer. *)
@@ -16,6 +16,9 @@ module F : sig
   val length : t -> int
   val push : t -> float -> unit
   val get : t -> int -> float
+
+  val to_array : t -> float array
+  (** A fresh copy of the pushed prefix. *)
 end
 
 module I : sig
@@ -33,6 +36,8 @@ module I : sig
   (** Overwrite an already-pushed slot (index [< length]); the simulation
       core uses this to patch the [next] links of its intrusive
       successor-edge lists. *)
+
+  val to_array : t -> int array
 end
 
 module A : sig
@@ -49,4 +54,5 @@ module A : sig
   val length : 'a t -> int
   val push : 'a t -> 'a -> unit
   val get : 'a t -> int -> 'a
+  val to_array : 'a t -> 'a array
 end

@@ -124,6 +124,7 @@ let of_run ?label ?registry tracer (metrics : Metrics.t) =
     (Tracer.instants tracer);
   (* Counter tracks: free processors from the busy timeline, and the
      ready-queue depth sampled at every scheduling instant. *)
+  let utilization = Metrics.utilization metrics in
   List.iter
     (fun (s : Metrics.segment) ->
       event
@@ -133,8 +134,8 @@ let of_run ?label ?registry tracer (metrics : Metrics.t) =
           Printf.sprintf "\"args\": {\"free\": %d}"
             (metrics.Metrics.p - s.Metrics.busy);
         ])
-    metrics.Metrics.utilization;
-  (match List.rev metrics.Metrics.utilization with
+    utilization;
+  (match List.rev utilization with
   | last :: _ ->
     event
       [
@@ -151,7 +152,7 @@ let of_run ?label ?registry tracer (metrics : Metrics.t) =
           Printf.sprintf "\"ts\": %s" (us time);
           Printf.sprintf "\"args\": {\"depth\": %d}" depth;
         ])
-    metrics.Metrics.queue_depth;
+    (Metrics.queue_depth metrics);
   (* Registry gauges (domains busy, GC heap words, ...) become additional
      counter tracks when a snapshot is supplied.  A snapshot is a
      point-in-time merge, so each gauge renders as a single sample at the

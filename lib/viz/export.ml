@@ -60,17 +60,17 @@ let schedule_to_json ?label sched =
   Buffer.add_string buf "]}";
   Buffer.contents buf
 
-let trace_to_csv (result : Engine.result) =
+let trace_to_csv events =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf "time,event,task,procs\n";
   List.iter
     (fun (time, ev) ->
-      match ev with
-      | Engine.Ready i ->
-        Buffer.add_string buf (Printf.sprintf "%.9g,ready,%d,\n" time i)
-      | Engine.Start (i, p) ->
-        Buffer.add_string buf (Printf.sprintf "%.9g,start,%d,%d\n" time i p)
-      | Engine.Finish i ->
-        Buffer.add_string buf (Printf.sprintf "%.9g,finish,%d,\n" time i))
-    result.Engine.trace;
+      Buffer.add_string buf
+        (match ev with
+        | Sim_core.Ready i -> Printf.sprintf "%.9g,ready,%d,\n" time i
+        | Sim_core.Start (i, p) -> Printf.sprintf "%.9g,start,%d,%d\n" time i p
+        | Sim_core.Finish i -> Printf.sprintf "%.9g,finish,%d,\n" time i
+        | Sim_core.Failed (i, attempt) ->
+          Printf.sprintf "%.9g,failed,%d,%d\n" time i attempt))
+    events;
   Buffer.contents buf

@@ -12,6 +12,7 @@ val schedule_to_json : ?label:(int -> string) -> Schedule.t -> string
 (** A JSON object [{"p": ..., "makespan": ..., "tasks": [...]}] with one
     record per placement (explicit processor list included). *)
 
-val trace_to_csv : Engine.result -> string
-(** Header [time,event,task,procs]; events are [ready], [start] (with the
-    allocation) and [finish], chronological. *)
+val trace_to_csv : (float * Sim_core.event) list -> string
+(** Header [time,event,task,procs], one row per event of a
+    {!Sim_core.trace}: [ready], [start] (with the allocation), [finish] and
+    [failed] (whose last column is the failed attempt's number). *)

@@ -93,7 +93,7 @@ let check_instance_consistency inst =
   (* The online run reproduces the proof's predicted makespan exactly. *)
   let result = Instances.run_online inst in
   check_float 1e-6 "online = predicted" inst.Instances.predicted_online
-    (Schedule.makespan result.Moldable_sim.Engine.schedule);
+    (Schedule.makespan result.Moldable_sim.Sim_core.schedule);
   (* Measured ratio below the theorem's limit (it converges from below). *)
   let ratio = Instances.measured_ratio inst in
   Alcotest.(check bool) "ratio <= limit" true

@@ -162,7 +162,7 @@ let prop_comm_instance_exact =
       let inst = Moldable_adversary.Instances.communication ~p in
       let r = Moldable_adversary.Instances.run_online inst in
       Fcmp.approx ~eps:1e-6
-        (Moldable_sim.Schedule.makespan r.Moldable_sim.Engine.schedule)
+        (Moldable_sim.Schedule.makespan r.Moldable_sim.Sim_core.schedule)
         inst.Moldable_adversary.Instances.predicted_online)
 
 let prop_amdahl_instance_exact =
@@ -172,7 +172,7 @@ let prop_amdahl_instance_exact =
       let inst = Moldable_adversary.Instances.amdahl ~k in
       let r = Moldable_adversary.Instances.run_online inst in
       Fcmp.approx ~eps:1e-6
-        (Moldable_sim.Schedule.makespan r.Moldable_sim.Engine.schedule)
+        (Moldable_sim.Schedule.makespan r.Moldable_sim.Sim_core.schedule)
         inst.Moldable_adversary.Instances.predicted_online)
 
 let prop_general_instance_exact =
@@ -182,7 +182,7 @@ let prop_general_instance_exact =
       let inst = Moldable_adversary.Instances.general ~k in
       let r = Moldable_adversary.Instances.run_online inst in
       Fcmp.approx ~eps:1e-6
-        (Moldable_sim.Schedule.makespan r.Moldable_sim.Engine.schedule)
+        (Moldable_sim.Schedule.makespan r.Moldable_sim.Sim_core.schedule)
         inst.Moldable_adversary.Instances.predicted_online)
 
 (* The headline theorem, parameterized: for ANY admissible mu at which the

@@ -420,14 +420,14 @@ let test_shadow_flags_corrupt_stamp () =
       dag
   in
   let corrupt =
-    {
-      result with
-      Moldable_sim.Sim_core.attempts =
-        List.map
-          (fun (a : Moldable_sim.Sim_core.attempt) ->
-            { a with Moldable_sim.Sim_core.finish = a.Moldable_sim.Sim_core.finish *. 1.5 })
-          result.Moldable_sim.Sim_core.attempts;
-    }
+    let sched = result.Moldable_sim.Sim_core.schedule in
+    let b = Moldable_sim.Schedule.builder ~p ~n:(Moldable_sim.Schedule.n sched) in
+    List.iter
+      (fun (pl : Moldable_sim.Schedule.placement) ->
+        Moldable_sim.Schedule.add b
+          { pl with finish = pl.Moldable_sim.Schedule.finish *. 1.5 })
+      (Moldable_sim.Schedule.placements sched);
+    { result with Moldable_sim.Sim_core.schedule = Moldable_sim.Schedule.finalize b }
   in
   let report = Shadow.check ~mu ~dag ~p corrupt in
   Alcotest.(check bool) "clean run passes" true

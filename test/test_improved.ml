@@ -86,8 +86,8 @@ let test_params_guarded () =
 
 let improved_makespan ~p dag =
   let r = Online_scheduler.run_improved ~p dag in
-  Validate.check_exn ~dag r.Engine.schedule;
-  Schedule.makespan r.Engine.schedule
+  Validate.check_exn ~dag r.Sim_core.schedule;
+  Schedule.makespan r.Sim_core.schedule
 
 (* The alternative schedule's makespan upper-bounds T_opt, so the measured
    ratio here over-estimates the true competitive ratio: staying under the
@@ -122,7 +122,7 @@ let test_figure3_chains_differential () =
       let orig =
         Schedule.makespan
           (Online_scheduler.run ~p:inst.Chains.p inst.Chains.dag)
-            .Engine.schedule
+            .Sim_core.schedule
       in
       Alcotest.(check bool)
         (Printf.sprintf "ell=%d improved %.4f <= original %.4f" ell impr orig)
@@ -138,7 +138,7 @@ let test_pinned_makespans () =
     let orig =
       Schedule.makespan
         (Online_scheduler.run ~p:inst.Instances.p inst.Instances.dag)
-          .Engine.schedule
+          .Sim_core.schedule
     in
     let impr = improved_makespan ~p:inst.Instances.p inst.Instances.dag in
     Alcotest.(check (float 1e-6)) (name ^ " original") expected_orig orig;
@@ -339,7 +339,7 @@ let test_comparison_report () =
       (fun dag ->
         let r = Online_scheduler.run ~allocator ~p:32 dag in
         R.of_run ?proven_bound:bound ~workload:"layered" ~p:32
-          ~makespan:(Schedule.makespan r.Engine.schedule)
+          ~makespan:(Schedule.makespan r.Sim_core.schedule)
           dag)
       dags
   in

@@ -88,9 +88,10 @@ let test_metrics_pp () =
       ~edges:[]
   in
   let r = Moldable_core.Online_scheduler.run ~p:1 dag in
-  let m = Moldable_analysis.Metrics.of_result r in
   Alcotest.(check bool) "renders" true
-    (contains (Format.asprintf "%a" Moldable_analysis.Metrics.pp m) "makespan=")
+    (contains
+       (Format.asprintf "%a" Metrics.pp r.Sim_core.metrics)
+       "mean_wait=")
 
 let test_engine_makespan_helper () =
   let dag =
@@ -101,7 +102,8 @@ let test_engine_makespan_helper () =
     Moldable_core.Online_scheduler.policy
       ~allocator:Moldable_core.Allocator.sequential ~p:1 ()
   in
-  Alcotest.(check (float 1e-9)) "helper" 2. (Engine.makespan ~p:1 policy dag)
+  Alcotest.(check (float 1e-9)) "helper" 2.
+    (Schedule.makespan (Sim_core.run ~p:1 policy dag).Sim_core.schedule)
 
 let test_svg_color_deterministic () =
   Alcotest.(check bool) "same string each call" true
@@ -134,7 +136,7 @@ let test_schedule_busy_area_consistency () =
       ~edge_prob:0.3 ~kind:Speedup.Kind_general ()
   in
   let r = Moldable_core.Online_scheduler.run ~p:8 dag in
-  let s = r.Engine.schedule in
+  let s = r.Sim_core.schedule in
   let integral =
     List.fold_left
       (fun acc (t0, t1, busy) -> acc +. ((t1 -. t0) *. float_of_int busy))

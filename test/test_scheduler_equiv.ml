@@ -55,18 +55,19 @@ let sorted_list_policy ?(priority = Priority.fifo) ~allocator ~p () =
     extract [] !queue
   in
   {
-    Engine.name =
+    Sim_core.name =
       Printf.sprintf "online-ref[%s, %s]" allocator.Allocator.name
         priority.Priority.name;
     on_ready;
     next_launch;
   }
 
-let event_pp ppf (t, (e : Engine.event)) =
+let event_pp ppf (t, (e : Sim_core.event)) =
   match e with
-  | Engine.Ready i -> Format.fprintf ppf "%.17g:ready %d" t i
-  | Engine.Start (i, q) -> Format.fprintf ppf "%.17g:start %d on %d" t i q
-  | Engine.Finish i -> Format.fprintf ppf "%.17g:finish %d" t i
+  | Sim_core.Ready i -> Format.fprintf ppf "%.17g:ready %d" t i
+  | Sim_core.Start (i, q) -> Format.fprintf ppf "%.17g:start %d on %d" t i q
+  | Sim_core.Finish i -> Format.fprintf ppf "%.17g:finish %d" t i
+  | Sim_core.Failed (i, a) -> Format.fprintf ppf "%.17g:failed %d #%d" t i a
 
 let trace_equal a b =
   List.length a = List.length b
@@ -132,19 +133,19 @@ let arbitrary_dag rng =
 
 let policies_agree ~dag ~p ~priority ~allocator =
   let heap =
-    Engine.run ~p (Online_scheduler.policy ~priority ~allocator ~p ()) dag
+    Sim_core.run ~p (Online_scheduler.policy ~priority ~allocator ~p ()) dag
   in
   let list_ =
-    Engine.run ~p
+    Sim_core.run ~p
       (sorted_list_policy ~priority ~allocator ~p ())
       dag
   in
-  if trace_equal heap.Engine.trace list_.Engine.trace then true
+  if trace_equal (Sim_core.trace heap) (Sim_core.trace list_) then true
   else
     QCheck.Test.fail_report
       (Printf.sprintf "trace mismatch [%s, P=%d]\n%s"
          priority.Priority.name p
-         (show_traces heap.Engine.trace list_.Engine.trace))
+         (show_traces (Sim_core.trace heap) (Sim_core.trace list_)))
 
 let prop_trace_equivalence =
   QCheck.Test.make ~name:"heap queue reproduces sorted-list traces (all rules)"
@@ -257,7 +258,7 @@ let test_cache_saves_model_evaluations () =
   let cached_calls = !calls in
   calls := 0;
   let reference =
-    Engine.run ~p
+    Sim_core.run ~p
       (sorted_list_policy ~allocator:Allocator.algorithm2_per_model ~p ())
       dag
   in
@@ -267,7 +268,7 @@ let test_cache_saves_model_evaluations () =
     true
     (cached_calls < reference_calls);
   Alcotest.(check bool) "same trace" true
-    (trace_equal cached.Engine.trace reference.Engine.trace)
+    (trace_equal (Sim_core.trace cached) (Sim_core.trace reference))
 
 (* The bench's scalability sets, regenerated from its seed in its order:
    the 10^4-task wide independent set at P = 256 (where the sorted list's

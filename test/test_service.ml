@@ -45,8 +45,8 @@ let same_schedule a b =
 
 let same_result (a : Sim_core.result) (b : Sim_core.result) =
   same_schedule a.Sim_core.schedule b.Sim_core.schedule
-  && a.Sim_core.trace = b.Sim_core.trace
-  && a.Sim_core.attempts = b.Sim_core.attempts
+  && (Sim_core.trace a) = (Sim_core.trace b)
+  && (Sim_core.attempts a) = (Sim_core.attempts b)
   && Float.equal a.Sim_core.makespan b.Sim_core.makespan
   && a.Sim_core.n_attempts = b.Sim_core.n_attempts
   && a.Sim_core.n_failures = b.Sim_core.n_failures
@@ -66,7 +66,7 @@ let admission_caps ~dag (reference : Sim_core.result) =
            match acc with
            | t' :: _ when Float.equal t' t -> acc
            | _ -> t :: acc)
-         [] reference.Sim_core.trace)
+         [] (Sim_core.trace reference))
   in
   (* The time-0 source flush is step 0 whether or not it recorded events. *)
   let offset =
@@ -85,7 +85,7 @@ let admission_caps ~dag (reference : Sim_core.result) =
       match ev with
       | Sim_core.Finish i -> finish_step.(i) <- step_of_time t
       | Sim_core.Ready _ | Sim_core.Start _ | Sim_core.Failed _ -> ())
-    reference.Sim_core.trace;
+    (Sim_core.trace reference);
   (* A task must be admitted strictly before the batch that completes its
      last dependency (so the normal unlock path reveals it); sources must
      be in place before the time-0 flush. *)
@@ -308,7 +308,7 @@ let test_stepper_growth_from_zero_capacity () =
   in
   let batch = Online_scheduler.run ~p chain in
   Alcotest.(check bool) "chain matches batch run" true
-    (same_schedule r.Sim_core.schedule batch.Engine.schedule)
+    (same_schedule r.Sim_core.schedule batch.Sim_core.schedule)
 
 let test_stepper_admit_after_drain_raises () =
   let p = 4 in
@@ -383,7 +383,78 @@ let test_stepper_events_windows_concatenate () =
   let r = Sim_core.Stepper.drain st in
   let streamed = List.concat (List.rev !windows) in
   Alcotest.(check bool) "windows concatenate to the full trace" true
-    (streamed = r.Sim_core.trace)
+    (streamed = (Sim_core.trace r))
+
+let test_stepper_windows_skip_internal_entries () =
+  (* Release times put deferred reveals in the event log, and a narrow
+     platform makes launch rounds stall with ready tasks waiting.  Neither
+     is a wire event: at every step, [n_events] and every [events_from k]
+     window must match the drained run's trace. *)
+  let p = 4 and n = 16 in
+  (* Four chains of 3-wide roofline tasks under min-time list scheduling:
+     a running task leaves one processor free, too few for any other. *)
+  let dag =
+    Dag.create
+      ~tasks:
+        (List.init n (fun id ->
+             Task.make ~id
+               (Speedup.Roofline { w = float_of_int (1 + (id mod 4)); ptilde = 3 })))
+      ~edges:(List.init (n - 4) (fun i -> (i, i + 4)))
+  in
+  let rng = Rng.create 7 in
+  let release = Array.init n (fun _ -> Rng.float rng 6.) in
+  let st = Sim_core.Stepper.create ~p (Baselines.min_time_list ~p) in
+  for i = 0 to n - 1 do
+    ignore
+      (Sim_core.Stepper.admit_task st ~release_time:release.(i)
+         ~deps:(Dag.predecessors dag i) (Dag.task dag i)
+        : int)
+  done;
+  let snapshots = ref [] in
+  let snap () =
+    let m = Sim_core.Stepper.n_events st in
+    snapshots :=
+      (m, List.init (m + 1) (Sim_core.Stepper.events_from st)) :: !snapshots
+  in
+  ignore (Sim_core.Stepper.advance st ~until:0. : int);
+  snap ();
+  let rec pump () =
+    match Sim_core.Stepper.next_event_time st with
+    | None -> ()
+    | Some t ->
+      ignore (Sim_core.Stepper.advance st ~until:t : int);
+      snap ();
+      pump ()
+  in
+  pump ();
+  let r = Sim_core.Stepper.drain st in
+  snap ();
+  let trace = Sim_core.trace r in
+  let rec slice k len = function
+    | _ when len = 0 -> []
+    | [] -> []
+    | x :: rest ->
+      if k > 0 then slice (k - 1) len rest else x :: slice 0 (len - 1) rest
+  in
+  List.iter
+    (fun (m, windows) ->
+      List.iteri
+        (fun k w ->
+          Alcotest.(check bool)
+            (Printf.sprintf "events_from %d at n_events %d" k m)
+            true
+            (w = slice k (m - k) trace))
+        windows)
+    !snapshots;
+  Alcotest.(check int) "n_events after drain" (List.length trace)
+    (Sim_core.Stepper.n_events st);
+  let deferred = ref 0 and stalled = ref 0 in
+  Event_log.iter r.Sim_core.log (fun _ -> function
+    | Event_log.Deferred _ -> incr deferred
+    | Event_log.Stalled -> incr stalled
+    | _ -> ());
+  Alcotest.(check bool) "log has deferred reveals" true (!deferred > 0);
+  Alcotest.(check bool) "log has stalls" true (!stalled > 0)
 
 let test_stepper_advance_to_infinity () =
   (* An infinite horizon must leave the clock at the last processed
@@ -403,7 +474,7 @@ let test_stepper_advance_to_infinity () =
   in
   let batch = Online_scheduler.run ~p chain in
   Alcotest.(check bool) "chain matches batch run" true
-    (same_schedule r.Sim_core.schedule batch.Engine.schedule)
+    (same_schedule r.Sim_core.schedule batch.Sim_core.schedule)
 
 (* ------------------------------------------------------------- protocol *)
 
@@ -721,7 +792,7 @@ let test_end_to_end_incremental_session () =
   in
   let local = Online_scheduler.run ~p:4 dag in
   Alcotest.(check (float 0.)) "makespan matches local batch run"
-    (Schedule.makespan local.Engine.schedule)
+    (Schedule.makespan local.Sim_core.schedule)
     server_mk;
   let status = rpc_exn Protocol.Status in
   Alcotest.(check string) "drained phase" "drained"
@@ -810,6 +881,8 @@ let () =
             test_stepper_unadmitted_forward_dep_stalls;
           Alcotest.test_case "event windows concatenate" `Quick
             test_stepper_events_windows_concatenate;
+          Alcotest.test_case "windows skip deferred and stall entries" `Quick
+            test_stepper_windows_skip_internal_entries;
           Alcotest.test_case "advance to infinity keeps a finite clock" `Quick
             test_stepper_advance_to_infinity;
         ] );

@@ -177,7 +177,7 @@ let test_figure2_gantts_render () =
   let inst = Moldable_adversary.Instances.communication ~p:20 in
   let online = Moldable_adversary.Instances.run_online inst in
   let g_online =
-    Gantt.render ~width:60 ~legend:false online.Moldable_sim.Engine.schedule
+    Gantt.render ~width:60 ~legend:false online.Moldable_sim.Sim_core.schedule
   in
   let g_alt =
     Gantt.render ~width:60 ~legend:false inst.Moldable_adversary.Instances.alternative

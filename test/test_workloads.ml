@@ -409,12 +409,12 @@ let test_swf_replay_schedules () =
   let dag, releases = Swf.to_workload ~rng jobs in
   let p = 64 in
   let r =
-    Moldable_sim.Engine.run ~release_times:releases ~p
+    Moldable_sim.Sim_core.run ~release_times:releases ~p
       (Moldable_core.Online_scheduler.policy
          ~allocator:Moldable_core.Allocator.algorithm2_per_model ~p ())
       dag
   in
-  Moldable_sim.Validate.check_exn ~dag r.Moldable_sim.Engine.schedule
+  Moldable_sim.Validate.check_exn ~dag r.Moldable_sim.Sim_core.schedule
 
 let prop_all_generators_schedulable =
   QCheck.Test.make ~name:"generated graphs schedule and validate" ~count:30
@@ -438,7 +438,7 @@ let prop_all_generators_schedulable =
         (fun dag ->
           let r = Moldable_core.Online_scheduler.run ~p:16 dag in
           Result.is_ok
-            (Moldable_sim.Validate.check ~dag r.Moldable_sim.Engine.schedule))
+            (Moldable_sim.Validate.check ~dag r.Moldable_sim.Sim_core.schedule))
         graphs)
 
 let () =
