@@ -19,7 +19,7 @@ open Moldable_sim
 type t = {
   name : string;
   dag : Dag.t;
-  p : int;                       (** Platform size. *)
+  p : int;                       (** Processor count. *)
   mu : float;                    (** The theorem's [mu]. *)
   alternative : Schedule.t;      (** Constructive offline schedule. *)
   alternative_makespan : float;

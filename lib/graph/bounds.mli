@@ -8,7 +8,7 @@
 open Moldable_model
 
 type t = {
-  p : int;                        (** Platform size. *)
+  p : int;                        (** Processor count. *)
   analyzed : Task.analyzed array; (** Per-task analysis, indexed by id. *)
   a_min_total : float;            (** [A_min], Definition 1. *)
   c_min : float;                  (** [C_min], Definition 2. *)

@@ -36,7 +36,7 @@ type mono_memo = Mono_unknown | Mono_yes | Mono_no
 
 type analyzed = private {
   task : t;
-  p : int;       (** Platform size [P] used for the analysis. *)
+  p : int;       (** Processor count [P] used for the analysis. *)
   p_max : int;   (** Equation (5). *)
   t_min : float; (** [time task p_max]. *)
   a_min : float; (** Minimum area over allocations [1 .. p_max]. *)

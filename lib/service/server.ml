@@ -212,16 +212,6 @@ let abandon_phase sess =
 
 let events_json evs = Json.List (List.map (fun (t, e) -> Protocol.event_to_json t e) evs)
 
-(* A drained run's events from index [k] on, and its event count. *)
-let drained_events r k =
-  let trace = Sim_core.trace r in
-  let rec drop k = function
-    | rest when k = 0 -> rest
-    | [] -> []
-    | _ :: rest -> drop (k - 1) rest
-  in
-  (drop k trace, List.length trace)
-
 (* The new-events window appended to advance/drain responses while
    subscribed; advances the session cursor. *)
 let subscription_fields sess =
@@ -233,8 +223,8 @@ let subscription_fields sess =
       sess.ev_cursor <- Sim_core.Stepper.n_events st;
       [ ("events", events_json evs); ("next", num sess.ev_cursor) ]
     | Drained r ->
-      let evs, total = drained_events r sess.ev_cursor in
-      sess.ev_cursor <- total;
+      let evs = Event_log.window r.Sim_core.log sess.ev_cursor in
+      sess.ev_cursor <- Event_log.count r.Sim_core.log;
       [ ("events", events_json evs); ("next", num sess.ev_cursor) ]
     | Idle -> []
 
@@ -397,9 +387,12 @@ let handle_events sess since =
         ],
       `Continue )
   | Drained r ->
-    let evs, total = drained_events r since in
+    let evs = Event_log.window r.Sim_core.log since in
     ( Protocol.ok
-        [ ("next", num (max since total)); ("events", events_json evs) ],
+        [
+          ("next", num (max since (Event_log.count r.Sim_core.log)));
+          ("events", events_json evs);
+        ],
       `Continue )
 
 let handle_schedule sess =

@@ -1,7 +1,7 @@
 (** The chronological event log of one simulation run.
 
     {!Sim_core} records every fact of a run exactly once, here, in the
-    order it happens: reveals, launches with their processor blocks,
+    order it happens: reveals, launches with their allocations,
     completions (successful or failed) with their exact heap stamps,
     deferred reveals, stalls and the ready-set depth at the end of every
     scheduling instant.  Everything a caller can see of a run — the
@@ -11,7 +11,12 @@
     This module is the only one that knows the log's int encoding: a
     recorder appends to reusable typed buffers (no allocation once they
     are warm), and {!freeze} copies the recorded prefix into an immutable
-    log that no later run can touch. *)
+    log that no later run can touch.
+
+    The core counts free processors and never names one.  Processor ids
+    are decided here, once, by {!freeze}: it replays the launches and
+    completions in log order and gives each launch the lowest-numbered
+    free ids. *)
 
 type event =
   | Ready of int        (** Task revealed (or re-revealed after a failure). *)
@@ -53,7 +58,8 @@ type recorder
 val recorder : unit -> recorder
 val clear : recorder -> unit
 val revealed : recorder -> float -> int -> unit
-val launched : recorder -> float -> int -> int array -> unit
+val launched : recorder -> float -> int -> int -> unit
+(** [launched r now i nprocs]: task [i] starts on [nprocs] processors. *)
 
 val ended :
   recorder -> float -> int -> attempt:int -> stamp:float -> failed:bool ->
@@ -69,8 +75,17 @@ val n_events : recorder -> int
 val events_from : recorder -> int -> (float * event) list
 (** [events_from r k]: the wire events from index [k] on, chronological. *)
 
-val freeze : recorder -> n:int -> t
-(** A copy of everything recorded, for a run over task ids [\[0, n)]. *)
+val freeze : recorder -> n:int -> p:int -> t
+(** A copy of everything recorded, for a run over task ids [\[0, n)] on
+    processors [\[0, p)], with processor ids assigned.  The replay walks
+    launches and completions (failed attempts held processors too) in log
+    order and hands each launch the lowest-numbered ids free at that
+    point; a batch's completions precede its instant's launches in the
+    log, so every launch sees the free set the core saw.  The cost is
+    linear in the ids handed out plus [p/64] per launch.
+
+    @raise Invalid_argument if [p < 1], a launch needs more processors
+    than are free, or a task ends while not running. *)
 
 (** {1 Reading a frozen log} *)
 
@@ -83,5 +98,12 @@ val iter : t -> (float -> entry -> unit) -> unit
 val events : t -> (float * event) list
 (** The wire events, chronological. *)
 
-val schedule : t -> p:int -> Schedule.t
+val count : t -> int
+(** The number of wire events. *)
+
+val window : t -> int -> (float * event) list
+(** [window t k]: the wire events from index [k] on, chronological — what
+    {!events_from} returned on the recorder, read from the frozen copy. *)
+
+val schedule : t -> Schedule.t
 (** One placement per successful attempt, finishing at its exact stamp. *)

@@ -89,20 +89,19 @@ let st_done = 3
 let dummy_task = Task.make ~label:"-" ~id:0 (Speedup.Roofline { w = 1.; ptilde = 1 })
 
 (* All per-run storage in one reusable bundle: the event heap, the per-task
-   bookkeeping arrays, the incremental task/edge store of the stepper, the
-   event-log recorder and the platform.
-   [ensure] grows everything to the (p, n) high-water mark; nothing
+   bookkeeping arrays, the incremental task/edge store of the stepper and
+   the event-log recorder.
+   [ensure] grows everything to the n high-water mark; nothing
    shrinks, so a pool domain that sweeps many cells allocates the arrays
    once and reuses them for every run. *)
 module Arena = struct
   type t = {
-    mutable platform : Platform.t option;
     events : Event_queue.t;
     mutable cap : int; (* current per-task array capacity *)
     mutable state : int array;
     mutable indeg : int array;
     mutable attempt_no : int array;
-    mutable run_procs : int array array; (* procs of the running attempt *)
+    mutable alloc : int array; (* allocation of the running attempt *)
     mutable outcomes : int array; (* per-batch classification buffer *)
     (* Incremental task/graph store: tasks and release times land here as
        they are admitted, and precedence edges form per-predecessor
@@ -127,13 +126,12 @@ module Arena = struct
 
   let create () =
     {
-      platform = None;
       events = Event_queue.create ();
       cap = 0;
       state = [||];
       indeg = [||];
       attempt_no = [||];
-      run_procs = [||];
+      alloc = [||];
       outcomes = [||];
       tasks = [||];
       rel = [||];
@@ -146,26 +144,23 @@ module Arena = struct
       in_use = false;
     }
 
-  let ensure t ~p ~n =
+  let ensure t ~n =
     if n > t.cap then begin
       let cap = max n (2 * t.cap) in
       t.state <- Array.make cap st_unrevealed;
       t.indeg <- Array.make cap 0;
       t.attempt_no <- Array.make cap 0;
-      t.run_procs <- Array.make cap [||];
+      t.alloc <- Array.make cap 0;
       t.tasks <- Array.make cap dummy_task;
       t.rel <- Array.make cap 0.;
       t.succ_first <- Array.make cap (-1);
       t.succ_last <- Array.make cap (-1);
       t.cap <- cap
-    end;
-    (match t.platform with
-    | Some pl when Platform.p pl = p -> Platform.reset pl
-    | Some _ | None -> t.platform <- Some (Platform.create p))
+    end
 
   (* Content-preserving growth, for admissions past the capacity of a
-     stepper that is already running (the platform and everything recorded
-     so far are untouched). *)
+     stepper that is already running (everything recorded so far is
+     untouched). *)
   let grow t ~n =
     if n > t.cap then begin
       let cap = max (max n 16) (2 * t.cap) in
@@ -177,7 +172,7 @@ module Arena = struct
       t.state <- gi st_unrevealed t.state;
       t.indeg <- gi 0 t.indeg;
       t.attempt_no <- gi 0 t.attempt_no;
-      t.run_procs <- gi [||] t.run_procs;
+      t.alloc <- gi 0 t.alloc;
       t.tasks <- gi dummy_task t.tasks;
       t.rel <- gi 0. t.rel;
       t.succ_first <- gi (-1) t.succ_first;
@@ -198,7 +193,7 @@ end
 
 (* Event payload encoding for the int-keyed queue: the low bit tags the
    kind, the rest is the task id.  The side data a completion needs
-   (attempt number, processor block) lives in the arena's per-task arrays —
+   (attempt number, allocation) lives in the arena's per-task arrays —
    a task has at most one outstanding attempt; its start is in the event
    log — and the exact finish stamp is the event's own heap
    key ([Event_queue.batch_stamp]), which [pop_simultaneous]-style batching
@@ -239,7 +234,6 @@ module Stepper = struct
     max_attempts : int;
     rng : Rng.t;
     arena : Arena.t;
-    platform : Platform.t;
     events : Event_queue.t;
     log : Event_log.recorder;
     counters : Metrics.counters;
@@ -254,9 +248,11 @@ module Stepper = struct
     mutable n_failures : int;
     mutable ready_count : int;
     mutable n_running : int;
+    mutable free : int; (* processors not held by a running attempt *)
     mutable pending_lo : int; (* consumed prefix of [arena.pending] *)
     mutable started : bool;
     mutable closed : bool; (* drained or abandoned *)
+    mutable frozen : Event_log.t option; (* the log, once drained *)
   }
 
   let create ?(seed = 0) ?(max_attempts = max_int) ?(failures = never)
@@ -266,6 +262,8 @@ module Stepper = struct
       invalid_arg "Sim_core.Stepper.create: max_attempts must be >= 1";
     if capacity < 0 then
       invalid_arg "Sim_core.Stepper.create: capacity must be >= 0";
+    if p < 1 then
+      invalid_arg "Sim_core.Stepper.create: need at least one processor";
     let traced = Tracer.enabled tracer in
     let a =
       match arena with
@@ -273,10 +271,7 @@ module Stepper = struct
       | Some _ | None -> Arena.create ()
     in
     a.Arena.in_use <- true;
-    (try Arena.ensure a ~p ~n:capacity
-     with e ->
-       a.Arena.in_use <- false;
-       raise e);
+    Arena.ensure a ~n:capacity;
     Event_queue.clear a.Arena.events;
     Growbuf.I.clear a.Arena.edge_to;
     Growbuf.I.clear a.Arena.edge_next;
@@ -292,7 +287,6 @@ module Stepper = struct
       max_attempts;
       rng = Rng.create seed;
       arena = a;
-      platform = Option.get a.Arena.platform;
       events = a.Arena.events;
       log = a.Arena.log;
       counters = Metrics.make_counters ();
@@ -304,9 +298,11 @@ module Stepper = struct
       n_failures = 0;
       ready_count = 0;
       n_running = 0;
+      free = p;
       pending_lo = 0;
       started = false;
       closed = false;
+      frozen = None;
     }
 
   (* Grow (contents-preserving) and initialize arena slots up to [j]: an
@@ -424,7 +420,7 @@ module Stepper = struct
     end
 
   let rec launch_round_untimed st now =
-    let free = Platform.free_count st.platform in
+    let free = st.free in
     if free > 0 then
       match st.policy.next_launch ~now ~free with
       | None ->
@@ -444,24 +440,24 @@ module Stepper = struct
         if nprocs > free then
           fail st "task %d needs %d procs but only %d are free" tid nprocs
             free;
-        (* The attempt cap is checked before any resource is acquired or
-           queued, so a violation leaves the platform and event queue
-           untouched. *)
+        (* The attempt cap is checked before any processor is taken or
+           event queued, so a violation leaves the free count and event
+           queue untouched. *)
         if a.Arena.attempt_no.(tid) >= st.max_attempts then
           failwith
             (Printf.sprintf
                "Sim_core.run: task %d reached the attempt limit (%d \
                 attempts, all failed) under failure model %s"
                tid st.max_attempts st.failures.model_name);
-        let procs = Platform.acquire st.platform nprocs in
+        st.free <- free - nprocs;
         let duration = Task.time a.Arena.tasks.(tid) nprocs in
         a.Arena.state.(tid) <- st_running;
         st.ready_count <- st.ready_count - 1;
         st.n_running <- st.n_running + 1;
         a.Arena.attempt_no.(tid) <- a.Arena.attempt_no.(tid) + 1;
         st.counters.Metrics.launches <- st.counters.Metrics.launches + 1;
-        Event_log.launched st.log now tid procs;
-        a.Arena.run_procs.(tid) <- procs;
+        Event_log.launched st.log now tid nprocs;
+        a.Arena.alloc.(tid) <- nprocs;
         Event_queue.add st.events ~time:(now +. duration) (enc_complete tid);
         launch_round_untimed st now
 
@@ -493,11 +489,11 @@ module Stepper = struct
     let outcomes = Arena.outcomes_for a blen in
     let attempt_no = a.Arena.attempt_no
     and state = a.Arena.state
-    and run_procs = a.Arena.run_procs in
-    (* Phase 1 — completions: release the processors of every attempt in
-       the batch and classify it (consuming the failure RNG in batch
-       order), so the policy later sees the full free count of this
-       instant. *)
+    and alloc = a.Arena.alloc in
+    (* Phase 1 — completions: return the allocation of every attempt in
+       the batch to the free count and classify it (consuming the failure
+       RNG in batch order), so the policy later sees the full free count
+       of this instant. *)
     for k = 0 to blen - 1 do
       let payload = Event_queue.batch_payload events k in
       if payload land 1 = 1 then begin
@@ -511,7 +507,7 @@ module Stepper = struct
            schedule. *)
         Event_log.ended st.log now tid ~attempt ~stamp ~failed;
         if now > st.ms.(0) then st.ms.(0) <- now;
-        Platform.release st.platform run_procs.(tid);
+        st.free <- st.free + alloc.(tid);
         if failed then begin
           st.n_failures <- st.n_failures + 1;
           st.counters.Metrics.retries <- st.counters.Metrics.retries + 1;
@@ -614,7 +610,8 @@ module Stepper = struct
       | Event_log.Launched _ | Event_log.Depth _ -> ())
 
   let finalize st =
-    let log = Event_log.freeze st.log ~n:st.n in
+    let log = Event_log.freeze st.log ~n:st.n ~p:st.p in
+    st.frozen <- Some log;
     if st.traced then replay_into st.tracer log;
     (* Publish the run counters to an attached telemetry registry in one
        shot: the totals are identical to incrementing per event, and the
@@ -639,7 +636,7 @@ module Stepper = struct
        c "moldable_sim_runs" "Completed simulation runs" 1
      end);
     {
-      schedule = Event_log.schedule log ~p:st.p;
+      schedule = Event_log.schedule log;
       makespan = st.ms.(0);
       n_attempts = st.counters.Metrics.launches;
       n_failures = st.n_failures;
@@ -687,11 +684,24 @@ module Stepper = struct
   let completed st = st.completed
   let ready st = st.ready_count
   let running st = st.n_running
-  let free_procs st = Platform.free_count st.platform
+  let free_procs st = st.free
   let makespan_so_far st = st.ms.(0)
   let next_event_time st = Event_queue.next_time st.events
-  let n_events st = Event_log.n_events st.log
-  let events_from st k = Event_log.events_from st.log k
+  (* A drained stepper answers from its own frozen log: the arena's
+     recorder belongs to whichever run uses the arena next. *)
+  let n_events st =
+    match st.frozen with
+    | Some log -> Event_log.count log
+    | None when st.closed ->
+      invalid_arg "Sim_core.Stepper.n_events: the stepper was abandoned"
+    | None -> Event_log.n_events st.log
+
+  let events_from st k =
+    match st.frozen with
+    | Some log -> Event_log.window log k
+    | None when st.closed ->
+      invalid_arg "Sim_core.Stepper.events_from: the stepper was abandoned"
+    | None -> Event_log.events_from st.log k
 end
 
 let run ?release_times ?(seed = 0) ?(max_attempts = max_int)

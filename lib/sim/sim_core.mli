@@ -12,11 +12,16 @@
 
     The loop processes each scheduling instant in three phases so the
     policy always sees the full free count and ready set of the instant:
-    (1) release the processors of every completion in the batch and
-    classify it against the failure model, (2) reveal failed attempts and
-    release-time reveals in batch order, then newly unblocked successors,
-    (3) run a launch round until the policy declines or no processor is
-    free.  This is precisely the event structure of Algorithm 1.
+    (1) return the allocation of every completion in the batch to the
+    free count and classify it against the failure model, (2) reveal
+    failed attempts and release-time reveals in batch order, then newly
+    unblocked successors, (3) run a launch round until the policy declines
+    or no processor is free.  This is precisely the event structure of Algorithm 1.
+
+    Like the algorithm, the loop works on counts: it keeps the number of
+    free processors and each running attempt's allocation, and never names
+    a processor.  The ids a schedule or attempt shows are assigned once,
+    when the log is frozen at drain ({!Event_log.freeze}).
 
     Every run records one chronological {!Event_log}.  The result's
     schedule, {!trace}, {!attempts}, {!Metrics} views and an attached
@@ -94,10 +99,11 @@ val trace : result -> (float * event) list
 val attempts : result -> attempt list
 (** Every attempt, chronological (by start, then task id and attempt). *)
 
-(** Reusable per-run storage: the event heap, per-task bookkeeping arrays,
-    the event-log recorder and the platform, all sized to the (p, n)
-    high-water mark of the runs that used the arena.  Passing the same arena to successive {!run}s makes the steady
-    state of a sweep allocation-free outside the result values themselves.
+(** Reusable per-run storage: the event heap, per-task bookkeeping arrays
+    and the event-log recorder, all sized to the task-count high-water
+    mark of the runs that used the arena.  Passing the same arena to
+    successive {!run}s makes the steady state of a sweep allocation-free
+    outside the result values themselves.
 
     An arena is single-run at a time: if a run is asked to use an arena
     that is already in use (reentrancy through a policy callback, or
@@ -220,13 +226,16 @@ module Stepper : sig
       would process ([None] when nothing is queued). *)
 
   val n_events : t -> int
-  (** Trace events recorded so far. *)
+  (** Trace events recorded so far.
+      @raise Invalid_argument on an abandoned stepper. *)
 
   val events_from : t -> int -> (float * event) list
   (** [events_from t k] is the chronological trace suffix starting at
       event index [k]: the incremental window a subscriber polls with
       [k = n_events] from the previous call.  After {!drain} it is the
-      matching suffix of {!trace} of the result. *)
+      matching suffix of {!trace} of the result, read from the result's
+      own log (a later run on the same arena does not change it).
+      @raise Invalid_argument on an abandoned stepper. *)
 end
 
 val run :
@@ -251,7 +260,7 @@ val run :
     {!Event_log}; the result's schedule is built from it and it is copied
     out of the arena at the end, so a result never shares storage with a
     later run.  [max_attempts] (default unlimited) bounds the attempts
-    per task; the bound is checked {e before} any processor is acquired or
+    per task; the bound is checked {e before} any processor is taken or
     event queued, and the error names the task, its attempt count and the
     failure model.  [failures] defaults to {!never}.
 

@@ -32,7 +32,7 @@ type decision = {
   task_id : int;
   label : string;
   model : string;        (** Speedup family ({!Moldable_model.Speedup.kind_name}). *)
-  p : int;               (** Platform size the decision was taken for. *)
+  p : int;               (** Processor count [P] the decision was taken for. *)
   p_max : int;           (** Equation (5) maximum useful allocation. *)
   t_min : float;         (** Minimum execution time [t(p_max)]. *)
   a_min : float;         (** Minimum area. *)

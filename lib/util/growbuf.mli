@@ -1,8 +1,8 @@
 (** Growable typed buffers: append-only arrays that double in place.
 
     The simulation core records its event log into these instead of cons
-    lists — a push is an array store (amortized; no per-element boxing for
-    the float and int variants), and the buffers are [clear]ed and reused
+    lists — a push is an array store (amortized, no per-element boxing),
+    and the buffers are [clear]ed and reused
     across runs by the arena.  The recorded prefix is copied out once, at
     the end of a run ([to_array]). *)
 
@@ -38,21 +38,4 @@ module I : sig
       successor-edge lists. *)
 
   val to_array : t -> int array
-end
-
-module A : sig
-  (** Boxed element buffer (one pointer slot per element, no cons cells).
-      [create ~dummy] needs a sentinel to fill unused capacity. *)
-
-  type 'a t
-
-  val create : ?capacity:int -> dummy:'a -> unit -> 'a t
-  val clear : 'a t -> unit
-  (** Resets the length and overwrites the used prefix with the dummy, so
-      a cleared buffer does not retain the previous run's elements. *)
-
-  val length : 'a t -> int
-  val push : 'a t -> 'a -> unit
-  val get : 'a t -> int -> 'a
-  val to_array : 'a t -> 'a array
 end

@@ -456,6 +456,41 @@ let test_stepper_windows_skip_internal_entries () =
   Alcotest.(check bool) "log has deferred reveals" true (!deferred > 0);
   Alcotest.(check bool) "log has stalls" true (!stalled > 0)
 
+let test_closed_stepper_keeps_its_events () =
+  (* A drained stepper answers [n_events]/[events_from] from its own log,
+     not from the arena's recorder, which a later run on the same arena
+     overwrites; an abandoned one has no log to answer from. *)
+  let p = 4 in
+  let arena = Sim_core.Arena.create () in
+  let st = Sim_core.Stepper.create ~arena ~p (fifo_policy ~p ()) in
+  for i = 0 to 2 do
+    ignore (Sim_core.Stepper.admit_task st (small_task i) : int)
+  done;
+  let ra = Sim_core.Stepper.drain st in
+  let chain =
+    Dag.create
+      ~tasks:(List.init 10 (fun id -> small_task id))
+      ~edges:(List.init 9 (fun i -> (i, i + 1)))
+  in
+  ignore (Sim_core.run ~arena ~p (fifo_policy ~p ()) chain : Sim_core.result);
+  let trace = Sim_core.trace ra in
+  Alcotest.(check int) "n_events is the drained run's" (List.length trace)
+    (Sim_core.Stepper.n_events st);
+  Alcotest.(check bool) "window 0 is the drained run's trace" true
+    (Sim_core.Stepper.events_from st 0 = trace);
+  Alcotest.(check bool) "window 4 is its suffix" true
+    (Sim_core.Stepper.events_from st 4 = List.filteri (fun k _ -> k >= 4) trace);
+  let ab = Sim_core.Stepper.create ~arena ~p (fifo_policy ~p ()) in
+  ignore (Sim_core.Stepper.admit_task ab (small_task 0) : int);
+  ignore (Sim_core.Stepper.advance ab ~until:1. : int);
+  Sim_core.Stepper.abandon ab;
+  Alcotest.check_raises "abandoned n_events"
+    (Invalid_argument "Sim_core.Stepper.n_events: the stepper was abandoned")
+    (fun () -> ignore (Sim_core.Stepper.n_events ab : int));
+  Alcotest.check_raises "abandoned events_from"
+    (Invalid_argument "Sim_core.Stepper.events_from: the stepper was abandoned")
+    (fun () -> ignore (Sim_core.Stepper.events_from ab 0))
+
 let test_stepper_advance_to_infinity () =
   (* An infinite horizon must leave the clock at the last processed
      instant: a task admitted afterwards launches at a finite time, and
@@ -885,6 +920,8 @@ let () =
             test_stepper_windows_skip_internal_entries;
           Alcotest.test_case "advance to infinity keeps a finite clock" `Quick
             test_stepper_advance_to_infinity;
+          Alcotest.test_case "closed stepper keeps its own events" `Quick
+            test_closed_stepper_keeps_its_events;
         ] );
       ( "protocol",
         [

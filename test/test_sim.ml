@@ -124,47 +124,74 @@ let test_engine_batches_ulp_completions () =
     (Float.equal wide_start (Float.max d1 d2));
   Validate.check_exn ~dag r.Sim_core.schedule
 
-(* -------------------------------------------------------------- Platform *)
+(* -------------------------------------------------------- Processor ids *)
+
+(* The platform's processor ids are assigned by [Event_log.freeze], which
+   replays a run's launches and completions.  [replay_ids ~p ops] feeds it
+   launches ([`L (task, nprocs)]) and completions ([`E task]), one per
+   instant, and returns every completed attempt with its processor ids, in
+   completion order. *)
+let replay_ids ~p ops =
+  let r = Event_log.recorder () in
+  List.iteri
+    (fun k op ->
+      let now = float_of_int k in
+      match op with
+      | `L (i, nprocs) -> Event_log.launched r now i nprocs
+      | `E i -> Event_log.ended r now i ~attempt:1 ~stamp:now ~failed:false)
+    ops;
+  let acc = ref [] in
+  Event_log.iter (Event_log.freeze r ~n:8 ~p) (fun _ -> function
+    | Event_log.Ended (a, _) -> acc := a :: !acc
+    | _ -> ());
+  List.rev !acc
+
+let ids_of attempts i =
+  (List.find (fun a -> a.Event_log.task_id = i) attempts).Event_log.procs
 
 let test_platform_acquire_release () =
-  let pf = Platform.create 8 in
-  Alcotest.(check int) "all free" 8 (Platform.free_count pf);
-  let a = Platform.acquire pf 3 in
-  Alcotest.(check (array int)) "lowest ids" [| 0; 1; 2 |] a;
-  Alcotest.(check int) "free" 5 (Platform.free_count pf);
-  Platform.release pf a;
-  Alcotest.(check int) "all free again" 8 (Platform.free_count pf)
+  let at = replay_ids ~p:8 [ `L (0, 3); `E 0; `L (1, 8); `E 1 ] in
+  Alcotest.(check (array int)) "lowest ids" [| 0; 1; 2 |] (ids_of at 0);
+  Alcotest.(check (array int)) "all free again" (Array.init 8 Fun.id)
+    (ids_of at 1)
 
 let test_platform_fragmented_acquire () =
-  let pf = Platform.create 6 in
-  let a = Platform.acquire pf 2 in
-  let b = Platform.acquire pf 2 in
-  Platform.release pf a;
-  let c = Platform.acquire pf 3 in
+  let at =
+    replay_ids ~p:6 [ `L (0, 2); `L (1, 2); `E 0; `L (2, 3); `E 1; `E 2 ]
+  in
   (* Holes 0,1 plus 4: ids must be the lowest three free. *)
-  Alcotest.(check (array int)) "fills holes" [| 0; 1; 4 |] c;
-  Platform.release pf b;
-  Platform.release pf c
+  Alcotest.(check (array int)) "fills holes" [| 0; 1; 4 |] (ids_of at 2)
 
 let test_platform_over_acquire () =
-  let pf = Platform.create 2 in
   Alcotest.check_raises "too many"
-    (Invalid_argument "Platform.acquire: 3 requested but only 2 free")
-    (fun () -> ignore (Platform.acquire pf 3))
+    (Invalid_argument
+       "Event_log.freeze: task 0 launched on 3 processors but only 2 are \
+        free") (fun () -> ignore (replay_ids ~p:2 [ `L (0, 3) ]))
 
 let test_platform_double_release () =
-  let pf = Platform.create 2 in
-  let a = Platform.acquire pf 1 in
-  Platform.release pf a;
   Alcotest.check_raises "double release"
-    (Invalid_argument "Platform.release: processor 0 is not busy") (fun () ->
-      Platform.release pf a)
+    (Invalid_argument "Event_log.freeze: task 0 ended while not running")
+    (fun () -> ignore (replay_ids ~p:2 [ `L (0, 1); `E 0; `E 0 ]))
 
 let test_platform_create_invalid () =
   Alcotest.check_raises "zero procs"
-    (Invalid_argument "Platform.create: need at least one processor")
-    (fun () -> ignore (Platform.create 0))
+    (Invalid_argument "Event_log.freeze: need at least one processor")
+    (fun () -> ignore (replay_ids ~p:0 []));
+  Alcotest.check_raises "zero-processor run"
+    (Invalid_argument "Sim_core.Stepper.create: need at least one processor")
+    (fun () ->
+      ignore
+        (Sim_core.run ~p:0
+           {
+             Sim_core.name = "idle";
+             on_ready = (fun ~now:_ _ -> ());
+             next_launch = (fun ~now:_ ~free:_ -> None);
+           }
+           (dag_of [ Task.make ~id:0 (roofline ~w:1. ~ptilde:1) ] [])))
 
+(* Random launches and completions, each launch taking at most the free
+   count: the replay accepts them, and attempts that overlap in time hold
+   disjoint, ascending ids in [0, p). *)
 let prop_platform_random_ops =
   QCheck.Test.make ~name:"platform free count consistent under random ops"
     ~count:100
@@ -172,24 +199,47 @@ let prop_platform_random_ops =
     (fun seed ->
       let rng = Rng.create seed in
       let p = Rng.int_range rng 1 32 in
-      let pf = Platform.create p in
-      let held = ref [] in
-      let ok = ref true in
+      let free = ref p and running = Array.make 8 0 and ops = ref [] in
       for _ = 1 to 200 do
-        if Rng.bool rng && Platform.free_count pf > 0 then begin
-          let n = Rng.int_range rng 1 (Platform.free_count pf) in
-          held := Platform.acquire pf n :: !held
+        let i = Rng.int rng 8 in
+        if running.(i) > 0 then begin
+          ops := `E i :: !ops;
+          free := !free + running.(i);
+          running.(i) <- 0
         end
-        else
-          match !held with
-          | [] -> ()
-          | h :: rest ->
-            Platform.release pf h;
-            held := rest
+        else if !free > 0 then begin
+          let n = Rng.int_range rng 1 !free in
+          ops := `L (i, n) :: !ops;
+          free := !free - n;
+          running.(i) <- n
+        end
       done;
-      let in_use = List.fold_left (fun acc a -> acc + Array.length a) 0 !held in
-      if Platform.free_count pf <> p - in_use then ok := false;
-      !ok)
+      Array.iteri (fun i n -> if n > 0 then ops := `E i :: !ops) running;
+      let at = Array.of_list (replay_ids ~p (List.rev !ops)) in
+      let well_formed a =
+        let ids = a.Event_log.procs in
+        Array.length ids = a.Event_log.nprocs
+        && Array.for_all (fun c -> c >= 0 && c < p) ids
+        && Array.for_all Fun.id
+             (Array.init
+                (max 0 (Array.length ids - 1))
+                (fun k -> ids.(k) < ids.(k + 1)))
+      in
+      let overlap a b =
+        a.Event_log.start < b.Event_log.finish
+        && b.Event_log.start < a.Event_log.finish
+      in
+      Array.for_all well_formed at
+      && Array.for_all
+           (fun a ->
+             Array.for_all
+               (fun b ->
+                 a == b || (not (overlap a b))
+                 || Array.for_all
+                      (fun c -> not (Array.mem c b.Event_log.procs))
+                      a.Event_log.procs)
+               at)
+           at)
 
 (* -------------------------------------------------------------- Schedule *)
 

@@ -58,6 +58,27 @@ end
 
 type ref_state = Unrevealed | Available | Running | Done
 
+(* Processor ids for the oracle: a [bool array] (true = free) scanned from
+   0 for the lowest free ids, with no hint and no blocks — independent of
+   the replay in [Event_log.freeze] that it pins. *)
+module Naive_ids = struct
+  let create p = Array.make p true
+
+  let take cells n =
+    let ids = Array.make n 0 and got = ref 0 and c = ref 0 in
+    while !got < n do
+      if cells.(!c) then begin
+        cells.(!c) <- false;
+        ids.(!got) <- !c;
+        incr got
+      end;
+      incr c
+    done;
+    ids
+
+  let give cells ids = Array.iter (fun c -> cells.(c) <- true) ids
+end
+
 type ref_event =
   | RComplete of { tid : int; attempt : int; start : float; finish : float;
                    procs : int array }
@@ -121,7 +142,7 @@ let run_reference ?release_times ?(seed = 0) ?(max_attempts = max_int)
     match release_times with None -> 0. | Some r -> r.(i)
   in
   let rng = Rng.create seed in
-  let platform = Platform.create p in
+  let cells = Naive_ids.create p and n_free = ref p in
   let builder = Schedule.builder ~p ~n in
   let events = Ref_queue.create () in
   let state = Array.make n Unrevealed in
@@ -156,7 +177,7 @@ let run_reference ?release_times ?(seed = 0) ?(max_attempts = max_int)
   in
   let launch_round now =
     let rec loop () =
-      let free = Platform.free_count platform in
+      let free = !n_free in
       if free > 0 then
         match policy.next_launch ~now ~free with
         | None ->
@@ -177,7 +198,8 @@ let run_reference ?release_times ?(seed = 0) ?(max_attempts = max_int)
                  "Sim_core.run: task %d reached the attempt limit (%d \
                   attempts, all failed) under failure model %s"
                  tid max_attempts failures.model_name);
-          let procs = Platform.acquire platform nprocs in
+          let procs = Naive_ids.take cells nprocs in
+          n_free := free - nprocs;
           let duration = Task.time (Dag.task dag tid) nprocs in
           state.(tid) <- Running;
           decr ready_count;
@@ -212,7 +234,8 @@ let run_reference ?release_times ?(seed = 0) ?(max_attempts = max_int)
         List.map
           (function
             | RComplete { tid; attempt; start; finish; procs } ->
-              Platform.release platform procs;
+              Naive_ids.give cells procs;
+              n_free := !n_free + Array.length procs;
               let failed = failures.fails rng ~task_id:tid ~attempt in
               attempts :=
                 { task_id = tid; attempt; start; finish = now;
@@ -820,6 +843,64 @@ let test_at_scale_matches_reference () =
        (views (Sim_core.run ~p (policy ()) dag))
        (run_reference ~p (policy ()) dag))
 
+(* ---------------------------------------------------- processor ids *)
+
+(* Random launch/completion sequences (with failed attempts, which hold
+   processors until they end) fed straight into a recorder, on platforms
+   that span several 64-processor blocks and end in a partial one: after
+   [freeze], every attempt holds exactly the ids a naive lowest-free scan
+   hands out at its launch. *)
+let prop_freeze_ids_match_naive_scan =
+  QCheck.Test.make ~name:"freeze ids = naive lowest-free scan (P up to 400)"
+    ~count:200
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let p =
+        let p = Rng.int_range rng 1 400 in
+        if p mod 64 = 0 then p + 1 else p
+      in
+      let n = Rng.int_range rng 1 40 in
+      let r = Event_log.recorder () in
+      let cells = Naive_ids.create p and n_free = ref p in
+      let running = Array.make n false and attempt = Array.make n 0 in
+      let expected = Hashtbl.create 64 in
+      let held = Array.make n [||] in
+      let now = ref 0. in
+      let finish i ~failed =
+        Event_log.ended r !now i ~attempt:attempt.(i) ~stamp:!now ~failed;
+        Naive_ids.give cells held.(i);
+        n_free := !n_free + Array.length held.(i);
+        running.(i) <- false
+      in
+      for _ = 1 to 300 do
+        now := !now +. 1.;
+        let i = Rng.int rng n in
+        if running.(i) then finish i ~failed:(Rng.bool rng)
+        else if !n_free > 0 then begin
+          let nprocs = Rng.int_range rng 1 !n_free in
+          Event_log.revealed r !now i;
+          Event_log.launched r !now i nprocs;
+          attempt.(i) <- attempt.(i) + 1;
+          held.(i) <- Naive_ids.take cells nprocs;
+          n_free := !n_free - nprocs;
+          running.(i) <- true;
+          Hashtbl.replace expected (i, attempt.(i)) held.(i)
+        end
+      done;
+      now := !now +. 1.;
+      Array.iteri (fun i run -> if run then finish i ~failed:false) running;
+      let log = Event_log.freeze r ~n ~p in
+      let ok = ref true and ended = ref 0 in
+      Event_log.iter log (fun _ -> function
+        | Event_log.Ended (a, _) ->
+          incr ended;
+          if a.Event_log.procs
+             <> Hashtbl.find expected (a.Event_log.task_id, a.Event_log.attempt)
+          then ok := false
+        | _ -> ());
+      !ok && !ended = Hashtbl.length expected)
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "sim_core"
@@ -864,4 +945,5 @@ let () =
         ] );
       ( "malleable",
         [ qt prop_malleable_phases_unchanged ] );
+      ("processor ids", [ qt prop_freeze_ids_match_naive_scan ]);
     ]
