@@ -10,7 +10,9 @@ type t = {
 }
 
 let compute ~p g =
-  let analyzed = Array.map (Task.analyze ~p) (Dag.tasks g) in
+  let analyzed =
+    Array.init (Dag.n g) (fun i -> Task.analyze ~p (Dag.task g i))
+  in
   let a_min_total =
     Array.fold_left (fun acc (a : Task.analyzed) -> acc +. a.Task.a_min) 0.
       analyzed

@@ -17,6 +17,8 @@ type t = {
 }
 
 val compute : p:int -> Dag.t -> t
-(** Analyzes every task for platform size [p] and evaluates Lemma 2. *)
+(** Analyzes every task for processor count [p] and evaluates Lemma 2:
+    one pass over the tasks and one longest-path pass over the graph's
+    stored topological order ({!Paths.longest_path}). *)
 
 val pp : Format.formatter -> t -> unit

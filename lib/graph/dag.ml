@@ -4,27 +4,34 @@ type t = {
   tasks : Task.t array;
   succ : int list array; (* ascending *)
   pred : int list array; (* ascending *)
+  topo : int array; (* Kahn's order from [create]; never handed out *)
 }
 
 let sort_uniq_ints = List.sort_uniq Int.compare
 
-let check_acyclic n succ =
-  (* Kahn's algorithm: if we cannot consume every node, there is a cycle. *)
-  let indeg = Array.make n 0 in
-  Array.iter (fun ss -> List.iter (fun j -> indeg.(j) <- indeg.(j) + 1) ss) succ;
-  let queue = Queue.create () in
-  Array.iteri (fun i d -> if d = 0 then Queue.add i queue) indeg;
-  let seen = ref 0 in
-  while not (Queue.is_empty queue) do
-    let i = Queue.pop queue in
-    incr seen;
+(* Kahn's algorithm over an int-array queue: the sources in id order, then
+   each task as its last predecessor is dequeued.  Once drained the queue
+   is a topological order; if it holds fewer than [n] tasks, the rest lie
+   on a cycle. *)
+let kahn_order n succ pred =
+  let indeg = Array.map List.length pred in
+  let queue = Array.make n 0 and tail = ref 0 in
+  let push i =
+    queue.(!tail) <- i;
+    incr tail
+  in
+  Array.iteri (fun i d -> if d = 0 then push i) indeg;
+  let head = ref 0 in
+  while !head < !tail do
+    let i = queue.(!head) in
+    incr head;
     List.iter
       (fun j ->
         indeg.(j) <- indeg.(j) - 1;
-        if indeg.(j) = 0 then Queue.add j queue)
+        if indeg.(j) = 0 then push j)
       succ.(i)
   done;
-  !seen = n
+  if !tail = n then Some queue else None
 
 let create ~tasks ~edges =
   let tasks = Array.of_list tasks in
@@ -52,9 +59,9 @@ let create ~tasks ~edges =
     succ.(i) <- sort_uniq_ints succ.(i);
     pred.(i) <- sort_uniq_ints pred.(i)
   done;
-  if not (check_acyclic n succ) then
-    invalid_arg "Dag.create: the precedence graph contains a cycle";
-  { tasks; succ; pred }
+  match kahn_order n succ pred with
+  | Some topo -> { tasks; succ; pred; topo }
+  | None -> invalid_arg "Dag.create: the precedence graph contains a cycle"
 
 let n t = Array.length t.tasks
 let task t i = t.tasks.(i)
@@ -74,13 +81,19 @@ let filter_ids f t =
 let sources t = filter_ids (fun i -> t.pred.(i) = []) t
 let sinks t = filter_ids (fun i -> t.succ.(i) = []) t
 
+let iter_topological f t = Array.iter f t.topo
+
+let rev_iter_topological f t =
+  for k = Array.length t.topo - 1 downto 0 do
+    f t.topo.(k)
+  done
+
+let iter_edges f t = Array.iteri (fun i ss -> List.iter (f i) ss) t.succ
+
 let edges t =
   let acc = ref [] in
-  Array.iteri (fun i ss -> List.iter (fun j -> acc := (i, j) :: !acc) ss) t.succ;
-  List.sort
-    (fun (a1, a2) (b1, b2) ->
-      match Int.compare a1 b1 with 0 -> Int.compare a2 b2 | c -> c)
-    !acc
+  iter_edges (fun i j -> acc := (i, j) :: !acc) t;
+  List.rev !acc
 
 let n_edges t = Array.fold_left (fun a ss -> a + List.length ss) 0 t.succ
 

@@ -11,7 +11,9 @@ type t
 
 val create : tasks:Task.t list -> edges:(int * int) list -> t
 (** @raise Invalid_argument on duplicate/non-contiguous ids, self-loops,
-    out-of-range edges, or cycles. Duplicate edges are coalesced. *)
+    out-of-range edges, or cycles. Duplicate edges are coalesced.  The
+    acyclicity check (Kahn's algorithm) keeps the topological order it
+    finds, for {!iter_topological}. *)
 
 val n : t -> int
 (** Number of tasks. *)
@@ -30,6 +32,19 @@ val sources : t -> int list
 
 val sinks : t -> int list
 (** Tasks without successors, in id order. *)
+
+val iter_topological : (int -> unit) -> t -> unit
+(** Visits every task once, each after all its predecessors: the order
+    Kahn's algorithm found in {!create} (sources in id order, then first
+    come, first served), at no further cost.  For the smallest-id-first
+    order, see {!Topo.order}. *)
+
+val rev_iter_topological : (int -> unit) -> t -> unit
+(** {!iter_topological} backwards: every task after all its successors. *)
+
+val iter_edges : (int -> int -> unit) -> t -> unit
+(** [iter_edges f g] calls [f i j] on every edge, in the order of {!edges},
+    without building the list. *)
 
 val edges : t -> (int * int) list
 (** All edges, lexicographically sorted. *)

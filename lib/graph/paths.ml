@@ -1,8 +1,7 @@
 let bottom_level ~weight g =
   let n = Dag.n g in
   let bl = Array.make n 0. in
-  let rev = List.rev (Topo.order g) in
-  List.iter
+  Dag.rev_iter_topological
     (fun i ->
       let best =
         List.fold_left
@@ -10,20 +9,20 @@ let bottom_level ~weight g =
           0. (Dag.successors g i)
       in
       bl.(i) <- weight i +. best)
-    rev;
+    g;
   bl
 
 let top_level ~weight g =
   let n = Dag.n g in
   let tl = Array.make n 0. in
-  List.iter
+  Dag.iter_topological
     (fun i ->
       List.iter
         (fun j ->
           let cand = tl.(i) +. weight i in
           if cand > tl.(j) then tl.(j) <- cand)
         (Dag.successors g i))
-    (Topo.order g);
+    g;
   tl
 
 let longest_path_value ~weight g =

@@ -1,6 +1,11 @@
 (** Weighted longest paths.  With the weight of task [j] set to its minimum
     execution time [t_min], the longest source-to-sink path length is the
-    minimum critical-path length [C_min] of Definition 2. *)
+    minimum critical-path length [C_min] of Definition 2.
+
+    Every function here is one pass over the topological order the graph
+    keeps from {!Dag.create} ({!Dag.iter_topological}); none sorts the
+    graph again.  The values do not depend on which topological order is
+    walked. *)
 
 val longest_path_value : weight:(int -> float) -> Dag.t -> float
 (** Maximum, over all paths, of the summed task weights; [0.] for the empty

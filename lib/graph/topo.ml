@@ -20,12 +20,12 @@ let order g =
 
 let depth g =
   let d = Array.make (Dag.n g) 0 in
-  List.iter
+  Dag.iter_topological
     (fun i ->
       List.iter
         (fun j -> if d.(j) < d.(i) + 1 then d.(j) <- d.(i) + 1)
         (Dag.successors g i))
-    (order g);
+    g;
   d
 
 let layers g =

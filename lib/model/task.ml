@@ -114,27 +114,45 @@ let monotonic a =
 module Cache = struct
   type nonrec t = {
     p : int;
-    tbl : (int, analyzed) Hashtbl.t;
+    mutable slots : analyzed array; (* by task id; [vacant] if not cached *)
     mutable hits : int;
     mutable misses : int;
   }
 
+  (* Fills the slots of ids never analyzed.  Its task belongs to no graph,
+     so the physical-equality guard in [analyze] never matches it. *)
+  let vacant =
+    let task =
+      { id = -1; label = ""; speedup = Speedup.Amdahl { w = 1.; d = 1. } }
+    in
+    { task; p = 1; p_max = 1; t_min = nan; a_min = nan; mono = Mono_unknown }
+
   let create ~p =
     if p < 1 then invalid_arg "Task.Cache.create: platform size must be >= 1";
-    { p; tbl = Hashtbl.create 64; hits = 0; misses = 0 }
+    { p; slots = [||]; hits = 0; misses = 0 }
 
   let p c = c.p
 
   let analyze c task =
-    match Hashtbl.find_opt c.tbl task.id with
-    | Some a when a.task == task ->
+    let id = task.id in
+    let len = Array.length c.slots in
+    if id >= 0 && id < len && c.slots.(id).task == task then begin
       c.hits <- c.hits + 1;
-      a
-    | _ ->
+      c.slots.(id)
+    end
+    else begin
       c.misses <- c.misses + 1;
       let a = analyze ~p:c.p task in
-      Hashtbl.replace c.tbl task.id a;
+      if id >= 0 then begin
+        if id >= len then begin
+          let grown = Array.make (max (id + 1) (2 * len)) vacant in
+          Array.blit c.slots 0 grown 0 len;
+          c.slots <- grown
+        end;
+        c.slots.(id) <- a
+      end;
       a
+    end
 
   let hits c = c.hits
   let misses c = c.misses

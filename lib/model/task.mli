@@ -69,9 +69,12 @@ val monotonic : analyzed -> bool
     Memoizes {!analyze} per task for a fixed platform size.  The online
     scheduler's hot path analyzes every revealed task (once for queue
     metadata, once inside the allocator); a shared cache makes that a single
-    [analyze] per task per run.  Lookups are keyed by task id with a
-    physical-equality guard, so a cache must not be shared across graphs
-    that reuse ids. *)
+    [analyze] per task per run.  Entries live in an array indexed by task
+    id, grown by doubling as larger ids arrive, so ids are expected to be
+    dense ([0 .. n-1], as in a task graph); a task with a
+    negative id is analyzed afresh on every call.  A lookup hits only on the
+    physically identical task, so a graph that reuses an id with another
+    task replaces the entry rather than reading a stale one. *)
 module Cache : sig
   type task := t
 

@@ -1,6 +1,35 @@
 open Moldable_model
 open Moldable_graph
 
+(* Processor disjointness of placements [0 .. k-1], placement [x] holding
+   the ids [procs x] over [\[start.(x), finish.(x))].  One sort of the
+   indices by start (ties: earlier finish, then index), then one sweep in
+   that order in which each processor keeps the latest finish it has been
+   given and whose it is.  A placement starting before that finish
+   overlaps it and is reported as [overlap q holder x]; starting exactly
+   at it is back-to-back reuse.  Cost: the sort plus one step per id. *)
+let sweep_processors ~p ~start ~finish ~procs overlap =
+  let order = Array.init (Array.length start) Fun.id in
+  Array.stable_sort
+    (fun a b ->
+      match Float.compare start.(a) start.(b) with
+      | 0 -> Float.compare finish.(a) finish.(b)
+      | c -> c)
+    order;
+  let busy_until = Array.make p neg_infinity and holder = Array.make p (-1) in
+  Array.iter
+    (fun x ->
+      let s = start.(x) and f = finish.(x) in
+      Array.iter
+        (fun q ->
+          if s < busy_until.(q) then overlap q holder.(q) x;
+          if f > busy_until.(q) then begin
+            busy_until.(q) <- f;
+            holder.(q) <- x
+          end)
+        (procs x))
+    order
+
 let check ?(pool = Moldable_util.Pool.sequential) ~dag sched =
   let errors = ref [] in
   let err fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
@@ -8,13 +37,14 @@ let check ?(pool = Moldable_util.Pool.sequential) ~dag sched =
   if Schedule.n sched <> n then
     err "schedule has %d tasks but the graph has %d" (Schedule.n sched) n;
   let m = min n (Schedule.n sched) in
+  let placement = Schedule.placement sched in
   (* Durations: independent per task, so chunked over the pool; the option
      array keeps error messages in task-index order regardless of which
      domain produced them. *)
   let duration_errors =
     Moldable_util.Pool.parallel_map pool
       (fun i ->
-        let pl = Schedule.placement sched i in
+        let pl = placement i in
         let expected = Task.time (Dag.task dag i) pl.Schedule.nprocs in
         let actual = pl.Schedule.finish -. pl.Schedule.start in
         if not (Moldable_util.Fcmp.approx ~eps:1e-6 expected actual) then
@@ -29,49 +59,27 @@ let check ?(pool = Moldable_util.Pool.sequential) ~dag sched =
     (function Some e -> errors := e :: !errors | None -> ())
     duration_errors;
   (* Precedence. *)
-  List.iter
-    (fun (i, j) ->
+  Dag.iter_edges
+    (fun i j ->
       if i < m && j < m then begin
-        let pi = Schedule.placement sched i
-        and pj = Schedule.placement sched j in
+        let pi = placement i and pj = placement j in
         if Moldable_util.Fcmp.lt ~eps:1e-6 pj.Schedule.start pi.Schedule.finish
         then
           err "edge (%d,%d) violated: %d starts at %.9g before %d finishes at \
                %.9g"
             i j j pj.Schedule.start i pi.Schedule.finish
       end)
-    (Dag.edges dag);
-  (* Processor disjointness: sweep; at equal times releases come first so
-     back-to-back reuse of a processor is legal. *)
-  let events = ref [] in
+    dag;
+  let start = Array.create_float m and finish = Array.create_float m in
   for i = 0 to m - 1 do
-    let pl = Schedule.placement sched i in
-    events := (pl.Schedule.start, 1, pl) :: (pl.Schedule.finish, 0, pl)
-              :: !events
+    let pl = placement i in
+    start.(i) <- pl.Schedule.start;
+    finish.(i) <- pl.Schedule.finish
   done;
-  let events =
-    List.sort
-      (fun (ta, ka, _) (tb, kb, _) ->
-        match Float.compare ta tb with 0 -> Int.compare ka kb | c -> c)
-      !events
-  in
-  let occupied = Array.make (Schedule.p sched) (-1) in
-  List.iter
-    (fun (_, phase, (pl : Schedule.placement)) ->
-      if phase = 0 then
-        Array.iter
-          (fun proc ->
-            if occupied.(proc) = pl.Schedule.task_id then occupied.(proc) <- -1)
-          pl.Schedule.procs
-      else
-        Array.iter
-          (fun proc ->
-            if occupied.(proc) >= 0 then
-              err "processor %d used by tasks %d and %d simultaneously" proc
-                occupied.(proc) pl.Schedule.task_id
-            else occupied.(proc) <- pl.Schedule.task_id)
-          pl.Schedule.procs)
-    events;
+  sweep_processors ~p:(Schedule.p sched) ~start ~finish
+    ~procs:(fun i -> (placement i).Schedule.procs)
+    (fun q i j ->
+      err "processor %d used by tasks %d and %d simultaneously" q i j);
   match !errors with [] -> Ok () | es -> Error (List.rev es)
 
 let check_exn ?pool ~dag sched =
@@ -151,8 +159,8 @@ let attempts ~dag ~p attempts =
      succeeded leaves [success_finish] at NaN, and every float comparison
      with NaN is false — so the NaN case must be flagged explicitly or the
      whole downstream subgraph would be silently accepted. *)
-  List.iter
-    (fun (i, j) ->
+  Dag.iter_edges
+    (fun i j ->
       List.iter
         (fun (a : Sim_core.attempt) ->
           if Float.is_nan success_finish.(i) then
@@ -164,27 +172,18 @@ let attempts ~dag ~p attempts =
             err "task %d attempt %d starts before predecessor %d succeeds" j
               a.attempt i)
         per_task.(j))
-    (Dag.edges dag);
-  (* Processor disjointness sweep over attempts. *)
-  let evs =
-    List.concat_map
-      (fun (a : Sim_core.attempt) -> [ (a.finish, 0, a); (a.start, 1, a) ])
-      attempts
-    |> List.sort (fun (ta, ka, _) (tb, kb, _) ->
-           match Float.compare ta tb with 0 -> Int.compare ka kb | c -> c)
-  in
-  let occupied = Array.make p false in
-  List.iter
-    (fun (_, phase, (a : Sim_core.attempt)) ->
-      Array.iter
-        (fun proc ->
-          if phase = 0 then occupied.(proc) <- false
-          else if occupied.(proc) then
-            err "processor %d double-booked around task %d attempt %d" proc
-              a.task_id a.attempt
-          else occupied.(proc) <- true)
-        a.procs)
-    evs;
+    dag;
+  let atts = Array.of_list attempts in
+  let start = Array.map (fun (a : Sim_core.attempt) -> a.start) atts
+  and finish = Array.map (fun (a : Sim_core.attempt) -> a.finish) atts in
+  sweep_processors ~p ~start ~finish
+    ~procs:(fun x -> atts.(x).Sim_core.procs)
+    (fun q x y ->
+      let a = atts.(x) and b = atts.(y) in
+      err
+        "processor %d used by task %d attempt %d and task %d attempt %d \
+         simultaneously"
+        q a.task_id a.attempt b.task_id b.attempt);
   match !errors with [] -> Ok () | es -> Error (List.rev es)
 
 let attempts_exn ~dag ~p atts =

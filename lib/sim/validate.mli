@@ -12,16 +12,27 @@
     - capacity: no processor id is used by two tasks simultaneously (which
       implies at most [P] processors are ever busy);
     - allocations are integers in [\[1, P\]] with well-formed processor sets.
-*)
+
+    Both validators run in time linear in the schedule and the graph, plus
+    one sort: precedence walks each task's successor list
+    ({!Moldable_graph.Dag.iter_edges}), and disjointness sorts the
+    placements by start (ties: earlier finish first, then id) and sweeps
+    them once in that order, each processor keeping the latest finish it
+    has been given.  A placement that starts before that finish overlaps
+    the placement holding it; one that starts exactly at it reuses the
+    processor back to back, which is legal. *)
 
 open Moldable_graph
 
 val check :
   ?pool:Moldable_util.Pool.t -> dag:Dag.t -> Schedule.t ->
   (unit, string list) result
-(** All violations found, or [Ok ()].  [pool] (default sequential) fans the
-    per-task duration checks out over its domains; the error list is
-    identical at any job count. *)
+(** All violations found, or [Ok ()]: durations in task-id order, then
+    precedence in edge order, then one
+    ["processor q used by tasks i and j simultaneously"] per processor of a
+    placement [j] that starts before the latest finish [i] on [q].  [pool]
+    (default sequential) fans the per-task duration checks out over its
+    domains; the error list is identical at any job count. *)
 
 val check_exn : ?pool:Moldable_util.Pool.t -> dag:Dag.t -> Schedule.t -> unit
 (** @raise Failure with the concatenated violations. *)
@@ -40,7 +51,8 @@ val attempts :
     attempt); no processor is shared by two concurrent attempts.  Malformed
     records — a task id outside [\[0, n)], a processor id outside
     [\[0, p)], or a processor list whose length is not [nprocs] — are
-    reported as errors too. *)
+    reported as errors too.  Precedence and disjointness are checked as in
+    {!check}, attempts taking the place of placements. *)
 
 val attempts_exn : dag:Dag.t -> p:int -> Sim_core.attempt list -> unit
 (** @raise Failure with the concatenated violations. *)

@@ -210,6 +210,56 @@ let prop_lb_positive =
       b.Bounds.lower_bound > 0.
       && b.Bounds.c_min <= b.Bounds.lower_bound +. 1e-9)
 
+(* The order [Dag.create] keeps: a permutation in which every edge points
+   forward, walked backwards by [rev_iter_topological]; [iter_edges] and
+   [edges] list the same pairs, sorted; and the bottom levels over it are
+   bit-identical to the ones over the smallest-id-first [Topo.order]. *)
+let prop_stored_topological_order =
+  QCheck.Test.make
+    ~name:"stored Kahn order is topological; levels match Topo.order's"
+    ~count:100
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let g =
+        Moldable_workloads.Random_dag.erdos_renyi ~rng
+          ~n:(Rng.int_range rng 1 40) ~edge_prob:(Rng.float rng 0.3)
+          ~kind:Speedup.Kind_general ()
+      in
+      let n = Dag.n g in
+      let order = ref [] and rev_order = ref [] in
+      Dag.iter_topological (fun i -> order := i :: !order) g;
+      Dag.rev_iter_topological (fun i -> rev_order := i :: !rev_order) g;
+      let order = List.rev !order in
+      let pos = Array.make n (-1) in
+      List.iteri (fun k i -> pos.(i) <- k) order;
+      let walked = ref [] in
+      Dag.iter_edges (fun i j -> walked := (i, j) :: !walked) g;
+      let edges = Dag.edges g in
+      let weight i = Task.time (Dag.task g i) 1 in
+      let reference =
+        let bl = Array.make n 0. in
+        List.iter
+          (fun i ->
+            bl.(i) <-
+              weight i
+              +. List.fold_left
+                   (fun acc j -> Float.max acc bl.(j))
+                   0. (Dag.successors g i))
+          (List.rev (Topo.order g));
+        bl
+      in
+      List.sort compare order = List.init n Fun.id
+      && !rev_order = order
+      && List.for_all (fun (i, j) -> pos.(i) < pos.(j)) edges
+      && List.rev !walked = edges
+      && edges = List.sort compare edges
+      && List.length edges = Dag.n_edges g
+      && Array.for_all2
+           (fun a b ->
+             Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+           (Paths.bottom_level ~weight g) reference)
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "graph"
@@ -240,6 +290,7 @@ let () =
           Alcotest.test_case "height" `Quick test_height;
           Alcotest.test_case "descendants/ancestors" `Quick
             test_descendants_ancestors;
+          qt prop_stored_topological_order;
         ] );
       ( "paths",
         [

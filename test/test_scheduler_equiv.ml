@@ -299,6 +299,31 @@ let test_at_scale_matches_sorted_list () =
            ~allocator:Allocator.algorithm2_per_model))
     [ (List.nth wide 1, 256); (List.nth layered 1, 1_024) ]
 
+let test_cache_ids_and_identity () =
+  (* Ids arrive out of order and past the array's end (it grows), a second
+     task reusing an id replaces the entry instead of reading the first's
+     analysis, and a negative id is analyzed afresh every time. *)
+  let cache = Task.Cache.create ~p:16 in
+  let task id w = Task.make ~id (Speedup.Amdahl { w; d = 1. }) in
+  let t5 = task 5 2. and t0 = task 0 3. and t40 = task 40 4. in
+  let first = List.map (Task.Cache.analyze cache) [ t5; t0; t40 ] in
+  let again = List.map (Task.Cache.analyze cache) [ t5; t0; t40 ] in
+  Alcotest.(check bool) "repeat lookups are pointer-equal" true
+    (List.for_all2 ( == ) first again);
+  Alcotest.(check (pair int int)) "3 misses, 3 hits" (3, 3)
+    (Task.Cache.misses cache, Task.Cache.hits cache);
+  let other5 = task 5 8. in
+  let a = Task.Cache.analyze cache other5 in
+  Alcotest.(check bool) "same id, other task: its own analysis" true
+    (a.Task.task == other5 && Task.Cache.analyze cache other5 == a);
+  Alcotest.(check bool) "the first task is analyzed again" true
+    (Task.Cache.analyze cache t5 != List.hd first);
+  let neg = task (-1) 1. in
+  ignore (Task.Cache.analyze cache neg);
+  ignore (Task.Cache.analyze cache neg);
+  Alcotest.(check (pair int int)) "counters" (7, 4)
+    (Task.Cache.misses cache, Task.Cache.hits cache)
+
 let test_cache_rejects_bad_p () =
   Alcotest.check_raises "p >= 1"
     (Invalid_argument "Task.Cache.create: platform size must be >= 1")
@@ -322,5 +347,7 @@ let () =
           Alcotest.test_case "cache saves model evaluations" `Quick
             test_cache_saves_model_evaluations;
           Alcotest.test_case "rejects p < 1" `Quick test_cache_rejects_bad_p;
+          Alcotest.test_case "ids and identity" `Quick
+            test_cache_ids_and_identity;
         ] );
     ]

@@ -590,6 +590,38 @@ let test_validate_attempts_reports_malformed_ids () =
   Alcotest.(check bool) "well-formed attempt accepted" true
     (Validate.attempts ~dag ~p [ good ] = Ok ())
 
+let test_validate_zero_length_placement_frees_processors () =
+  (* A task short enough to pass the duration check at length 0 is placed
+     as an instant on processor 0; a later task reuses the processor.  The
+     list sweep released the instant before starting it (releases come
+     first at equal times), so processor 0 stayed taken for good and the
+     later task was reported as a conflict. *)
+  let dag =
+    Dag.create
+      ~tasks:
+        [
+          Task.make ~id:0 (Speedup.Roofline { w = 1e-9; ptilde = 1 });
+          Task.make ~id:1 (Speedup.Roofline { w = 1.; ptilde = 1 });
+        ]
+      ~edges:[]
+  in
+  let b = Schedule.builder ~p:1 ~n:2 in
+  let place task_id start finish =
+    Schedule.add b
+      { Schedule.task_id; start; finish; nprocs = 1; procs = [| 0 |] }
+  in
+  place 0 1. 1.;
+  place 1 2. 3.;
+  let sched = Schedule.finalize b in
+  Alcotest.(check bool) "check accepts" true
+    (Validate.check ~dag sched = Ok ());
+  let attempt task_id start finish =
+    { Sim_core.task_id; attempt = 1; start; finish; nprocs = 1;
+      procs = [| 0 |]; failed = false }
+  in
+  Alcotest.(check bool) "attempts accepts" true
+    (Validate.attempts ~dag ~p:1 [ attempt 0 1. 1.; attempt 1 2. 3. ] = Ok ())
+
 (* ------------------------------------- malleable engine: FIFO refactor *)
 
 module Seed_malleable = struct
@@ -901,6 +933,440 @@ let prop_freeze_ids_match_naive_scan =
         | _ -> ());
       !ok && !ended = Hashtbl.length expected)
 
+(* ------------------------------- list-sweep validators (verdict oracle) *)
+
+(* [Validate.check] and [Validate.attempts] as they were before the array
+   sweep: precedence over the sorted [Dag.edges] list, and processor
+   disjointness by a [List.sort] of 2n (time, phase, record) events with
+   releases first at equal times.  Kept as the verdict oracle for the
+   validators: on every input both must accept or both reject. *)
+module List_sweep = struct
+  let check ~dag sched =
+    let errors = ref [] in
+    let err fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
+    let n = Dag.n dag in
+    if Schedule.n sched <> n then
+      err "schedule has %d tasks but the graph has %d" (Schedule.n sched) n;
+    let m = min n (Schedule.n sched) in
+    for i = 0 to m - 1 do
+      let pl = Schedule.placement sched i in
+      let expected = Task.time (Dag.task dag i) pl.Schedule.nprocs in
+      let actual = pl.Schedule.finish -. pl.Schedule.start in
+      if not (Fcmp.approx ~eps:1e-6 expected actual) then
+        err "task %d on %d procs should run %.9g time units but runs %.9g" i
+          pl.Schedule.nprocs expected actual
+    done;
+    List.iter
+      (fun (i, j) ->
+        if i < m && j < m then begin
+          let pi = Schedule.placement sched i
+          and pj = Schedule.placement sched j in
+          if Fcmp.lt ~eps:1e-6 pj.Schedule.start pi.Schedule.finish then
+            err "edge (%d,%d) violated" i j
+        end)
+      (Dag.edges dag);
+    let events = ref [] in
+    for i = 0 to m - 1 do
+      let pl = Schedule.placement sched i in
+      events :=
+        (pl.Schedule.start, 1, pl) :: (pl.Schedule.finish, 0, pl) :: !events
+    done;
+    let events =
+      List.sort
+        (fun (ta, ka, _) (tb, kb, _) ->
+          match Float.compare ta tb with 0 -> Int.compare ka kb | c -> c)
+        !events
+    in
+    let occupied = Array.make (Schedule.p sched) (-1) in
+    List.iter
+      (fun (_, phase, (pl : Schedule.placement)) ->
+        if phase = 0 then
+          Array.iter
+            (fun proc ->
+              if occupied.(proc) = pl.Schedule.task_id then
+                occupied.(proc) <- -1)
+            pl.Schedule.procs
+        else
+          Array.iter
+            (fun proc ->
+              if occupied.(proc) >= 0 then
+                err "processor %d used by tasks %d and %d simultaneously" proc
+                  occupied.(proc) pl.Schedule.task_id
+              else occupied.(proc) <- pl.Schedule.task_id)
+            pl.Schedule.procs)
+      events;
+    match !errors with [] -> Ok () | es -> Error (List.rev es)
+
+  let attempts ~dag ~p attempts =
+    let errors = ref [] in
+    let err fmt = Printf.ksprintf (fun s -> errors := s :: !errors) fmt in
+    let n = Dag.n dag in
+    let attempts =
+      List.filter
+        (fun (a : Sim_core.attempt) ->
+          let known = a.task_id >= 0 && a.task_id < n in
+          if not known then
+            err "attempt %d names unknown task %d" a.attempt a.task_id;
+          if Array.length a.procs <> a.nprocs then
+            err "task %d attempt %d lists %d processors for allocation %d"
+              a.task_id a.attempt (Array.length a.procs) a.nprocs;
+          let in_range = Array.for_all (fun q -> q >= 0 && q < p) a.procs in
+          if not in_range then
+            err "task %d attempt %d uses a processor outside [0, %d)"
+              a.task_id a.attempt p;
+          known && in_range)
+        attempts
+    in
+    let success_finish = Array.make n nan in
+    let per_task = Array.make n [] in
+    List.iter
+      (fun (a : Sim_core.attempt) ->
+        per_task.(a.task_id) <- a :: per_task.(a.task_id))
+      attempts;
+    for i = 0 to n - 1 do
+      let atts =
+        List.sort
+          (fun (a : Sim_core.attempt) (b : Sim_core.attempt) ->
+            Int.compare a.attempt b.attempt)
+          per_task.(i)
+      in
+      match atts with
+      | [] -> err "task %d never executed" i
+      | _ ->
+        let k = List.length atts in
+        List.iteri
+          (fun idx (a : Sim_core.attempt) ->
+            if a.attempt <> idx + 1 then
+              err "task %d attempt numbering broken at %d" i a.attempt;
+            if a.nprocs < 1 || a.nprocs > p then
+              err "task %d attempt %d has bad allocation %d" i a.attempt
+                a.nprocs
+            else if
+              not
+                (Fcmp.approx ~eps:1e-6
+                   (Task.time (Dag.task dag i) a.nprocs)
+                   (a.finish -. a.start))
+            then err "task %d attempt %d has wrong duration" i a.attempt;
+            if idx = k - 1 then
+              if a.failed then err "task %d's last attempt failed" i
+              else success_finish.(i) <- a.finish
+            else if not a.failed then
+              err "task %d attempt %d succeeded but was re-executed" i
+                a.attempt)
+          atts
+    done;
+    List.iter
+      (fun (i, j) ->
+        List.iter
+          (fun (a : Sim_core.attempt) ->
+            if Float.is_nan success_finish.(i) then
+              err "task %d attempt %d ran although predecessor %d never \
+                   succeeded"
+                j a.attempt i
+            else if Fcmp.lt ~eps:1e-6 a.start success_finish.(i) then
+              err "task %d attempt %d starts before predecessor %d succeeds" j
+                a.attempt i)
+          per_task.(j))
+      (Dag.edges dag);
+    let evs =
+      List.concat_map
+        (fun (a : Sim_core.attempt) -> [ (a.finish, 0, a); (a.start, 1, a) ])
+        attempts
+      |> List.sort (fun (ta, ka, _) (tb, kb, _) ->
+             match Float.compare ta tb with 0 -> Int.compare ka kb | c -> c)
+    in
+    let occupied = Array.make p false in
+    List.iter
+      (fun (_, phase, (a : Sim_core.attempt)) ->
+        Array.iter
+          (fun proc ->
+            if phase = 0 then occupied.(proc) <- false
+            else if occupied.(proc) then
+              err "processor %d double-booked around task %d attempt %d" proc
+                a.task_id a.attempt
+            else occupied.(proc) <- true)
+          a.procs)
+      evs;
+    match !errors with [] -> Ok () | es -> Error (List.rev es)
+end
+
+(* The (processor, record) pairs disjointness must report, by definition:
+   record [x] on processor [q] whenever some record on [q] that comes
+   before [x] in (start, finish, index) order finishes after [x] starts.
+   Quadratic, and independent of the sweep it pins: the sweep must report
+   exactly these, so keeping only the last finish per processor (instead
+   of the latest) or flagging back-to-back reuse is caught. *)
+let pairwise_overlaps (windows : (float * float * int array) array) =
+  let before a b =
+    let sa, fa, _ = windows.(a) and sb, fb, _ = windows.(b) in
+    match Float.compare sa sb with
+    | 0 -> (
+      match Float.compare fa fb with 0 -> a < b | c -> c < 0)
+    | c -> c < 0
+  in
+  let acc = ref [] in
+  Array.iteri
+    (fun x (sx, _, px) ->
+      Array.iter
+        (fun q ->
+          let hit = ref false in
+          Array.iteri
+            (fun y (_, fy, py) ->
+              if before y x && Array.mem q py && sx < fy then hit := true)
+            windows;
+          if !hit then acc := (q, x) :: !acc)
+        px)
+    windows;
+  List.sort compare !acc
+
+(* The (processor, later record) pairs a validator's messages name. *)
+let reported_overlaps parse = function
+  | Ok () -> []
+  | Error es -> List.sort compare (List.filter_map parse es)
+
+let check_overlaps =
+  reported_overlaps (fun e ->
+      Scanf.sscanf_opt e "processor %d used by tasks %d and %d simultaneously"
+        (fun q _ j -> (q, j)))
+
+let attempt_overlaps =
+  reported_overlaps (fun e ->
+      Scanf.sscanf_opt e
+        "processor %d used by task %d attempt %d and task %d attempt %d \
+         simultaneously"
+        (fun q _ _ t a -> (q, (t, a))))
+
+let placement_windows sched =
+  Array.init (Schedule.n sched) (fun i ->
+      let pl = Schedule.placement sched i in
+      (pl.Schedule.start, pl.Schedule.finish, pl.Schedule.procs))
+
+let attempt_windows atts =
+  Array.of_list
+    (List.map
+       (fun (a : Sim_core.attempt) -> (a.start, a.finish, a.procs))
+       atts)
+
+(* Both validators against the list-sweep reference on one schedule and
+   its attempts: the same verdict, and exactly the overlaps of
+   [pairwise_overlaps]. *)
+let validators_agree ~dag ~p sched atts =
+  let checked = Validate.check ~dag sched
+  and attempted = Validate.attempts ~dag ~p atts in
+  let ids = Array.of_list atts in
+  Result.is_ok checked = Result.is_ok (List_sweep.check ~dag sched)
+  && Result.is_ok attempted
+     = Result.is_ok (List_sweep.attempts ~dag ~p atts)
+  && check_overlaps checked = pairwise_overlaps (placement_windows sched)
+  && attempt_overlaps attempted
+     = List.sort compare
+         (List.map
+            (fun (q, x) -> (q, (ids.(x).Sim_core.task_id, ids.(x).attempt)))
+            (pairwise_overlaps (attempt_windows atts)))
+
+(* Windows back into a schedule and an attempt list, each record keeping
+   its task, attempt number and outcome. *)
+let schedule_of_windows ~p windows =
+  let b = Schedule.builder ~p ~n:(Array.length windows) in
+  Array.iteri
+    (fun task_id (start, finish, procs) ->
+      Schedule.add b
+        { Schedule.task_id; start; finish; nprocs = Array.length procs;
+          procs })
+    windows;
+  Schedule.finalize b
+
+let attempts_of_windows atts windows =
+  List.mapi
+    (fun x (a : Sim_core.attempt) ->
+      let start, finish, procs = windows.(x) in
+      { a with start; finish; procs; nprocs = Array.length procs })
+    atts
+
+type fault = Shift | Steal | Nest | Shorten | Break_edge
+
+(* A copy of [windows] with one fault of the given kind.  [edges] are
+   index pairs [(i, j)]: [j] may not start before [i] finishes. *)
+let inject rng ~p ~edges fault windows =
+  let w = Array.copy windows in
+  let k = Array.length w in
+  let pick () = Rng.int_range rng 0 (k - 1) in
+  (match fault with
+  | Shift ->
+    let x = pick () in
+    let s, f, procs = w.(x) in
+    let d = Rng.float rng (s +. (2. *. (f -. s))) -. s in
+    w.(x) <- (s +. d, f +. d, procs)
+  | Steal ->
+    let x = pick () in
+    let s, f, procs = w.(x) in
+    let others =
+      List.filter (fun q -> not (Array.mem q procs)) (List.init p Fun.id)
+    in
+    if others <> [] then begin
+      let procs = Array.copy procs in
+      procs.(Rng.int rng (Array.length procs)) <-
+        Rng.choose rng (Array.of_list others);
+      Array.sort Int.compare procs;
+      w.(x) <- (s, f, procs)
+    end
+  | Nest ->
+    (* Two short records, one after the other, inside the longest one on
+       its first processor: only the latest finish on that processor
+       catches the second. *)
+    if k >= 3 then begin
+      let len x =
+        let s, f, _ = w.(x) in
+        f -. s
+      in
+      let a = ref 0 in
+      Array.iteri (fun x _ -> if len x > len !a then a := x) w;
+      let s, f, procs = w.(!a) in
+      let rest = List.filter (( <> ) !a) (List.init k Fun.id) in
+      let rest = Array.of_list rest in
+      Rng.shuffle rng rest;
+      let at frac = s +. (frac *. (f -. s)) in
+      w.(rest.(0)) <- (at 0.1, at 0.3, [| procs.(0) |]);
+      w.(rest.(1)) <- (at 0.5, at 0.7, [| procs.(0) |])
+    end
+  | Shorten ->
+    let x = pick () in
+    let s, f, procs = w.(x) in
+    w.(x) <- (s, s +. (0.5 *. (f -. s)), procs)
+  | Break_edge -> (
+    match edges with
+    | [] -> ()
+    | _ ->
+      let i, j = Rng.choose rng (Array.of_list edges) in
+      let si, _, _ = w.(i) and sj, fj, pj = w.(j) in
+      w.(j) <- (si, si +. (fj -. sj), pj)));
+  w
+
+let real_runs seed =
+  let rng = Rng.create seed in
+  let dag, p, release_times, failures = gen_scenario rng in
+  List.concat_map
+    (fun priority ->
+      List.map
+        (fun allocator ->
+          let policy = Online_scheduler.policy ~priority ~allocator ~p () in
+          Sim_core.run ?release_times ~seed ~failures ~p policy dag)
+        allocators)
+    Priority.all
+  |> List.map (fun r -> (dag, p, r))
+
+let prop_validators_on_real_runs =
+  QCheck.Test.make
+    ~name:"validators = list-sweep reference on real runs (5 rules x 2 \
+           allocators, failure models, release times)"
+    ~count:30
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      List.for_all
+        (fun (dag, p, r) ->
+          let sched = r.Sim_core.schedule and atts = Sim_core.attempts r in
+          Result.is_ok (Validate.check ~dag sched)
+          && Result.is_ok (Validate.attempts ~dag ~p atts)
+          && validators_agree ~dag ~p sched atts)
+        (real_runs seed))
+
+let prop_validators_on_faults =
+  QCheck.Test.make
+    ~name:"validators = list-sweep reference after injected faults (shift, \
+           stolen id, nested overlap, shortened, broken edge)"
+    ~count:30
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create (seed + 1) in
+      List.for_all
+        (fun (dag, p, r) ->
+          let sched = r.Sim_core.schedule and atts = Sim_core.attempts r in
+          let ids = Array.of_list atts in
+          let success = Array.make (Dag.n dag) 0 in
+          Array.iteri
+            (fun x (a : Sim_core.attempt) ->
+              if not a.failed then success.(a.task_id) <- x)
+            ids;
+          let attempt_edges =
+            List.map (fun (i, j) -> (success.(i), success.(j))) (Dag.edges dag)
+          in
+          List.for_all
+            (fun fault ->
+              let placed =
+                inject rng ~p ~edges:(Dag.edges dag) fault
+                  (placement_windows sched)
+              and tried =
+                inject rng ~p ~edges:attempt_edges fault (attempt_windows atts)
+              in
+              validators_agree ~dag ~p
+                (schedule_of_windows ~p placed)
+                (attempts_of_windows atts tried))
+            [ Shift; Steal; Nest; Shorten; Break_edge ])
+        (real_runs seed))
+
+let prop_validators_on_back_to_back =
+  QCheck.Test.make
+    ~name:"validators = list-sweep reference on back-to-back reuse and one \
+           ulp before it"
+    ~count:100
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Rng.create seed in
+      let n = Rng.int_range rng 2 30 and p = Rng.int_range rng 1 8 in
+      let dag =
+        Moldable_workloads.Random_dag.independent ~rng ~n
+          ~kind:Speedup.Kind_general ()
+      in
+      (* Each task starts the moment the last of its processors is
+         released, so start = finish on that processor exactly. *)
+      let free_at = Array.make p 0. in
+      let windows =
+        Array.init n (fun i ->
+            let all = Array.init p Fun.id in
+            Rng.shuffle rng all;
+            let procs = Array.sub all 0 (Rng.int_range rng 1 p) in
+            Array.sort Int.compare procs;
+            let start =
+              Array.fold_left (fun t q -> Float.max t free_at.(q)) 0. procs
+            in
+            let finish =
+              start +. Task.time (Dag.task dag i) (Array.length procs)
+            in
+            Array.iter (fun q -> free_at.(q) <- finish) procs;
+            (start, finish, procs))
+      in
+      let atts =
+        List.init n (fun task_id ->
+            let start, finish, procs = windows.(task_id) in
+            { Sim_core.task_id; attempt = 1; start; finish;
+              nprocs = Array.length procs; procs; failed = false })
+      in
+      let sched = schedule_of_windows ~p windows in
+      let reused =
+        Result.is_ok (Validate.check ~dag sched)
+        && validators_agree ~dag ~p sched atts
+      in
+      (* One ulp earlier, the same task overlaps the one it follows. *)
+      let later =
+        List.filter
+          (fun i ->
+            let s, _, _ = windows.(i) in
+            s > 0.)
+          (List.init n Fun.id)
+      in
+      reused
+      &&
+      match later with
+      | [] -> true
+      | _ ->
+        let x = Rng.choose rng (Array.of_list later) in
+        let w = Array.copy windows in
+        let s, f, procs = w.(x) in
+        w.(x) <- (Float.pred s, f, procs);
+        let sched = schedule_of_windows ~p w in
+        Result.is_error (Validate.check ~dag sched)
+        && validators_agree ~dag ~p sched (attempts_of_windows atts w))
+
 let () =
   let qt = QCheck_alcotest.to_alcotest in
   Alcotest.run "sim_core"
@@ -942,8 +1408,16 @@ let () =
             test_validate_flags_never_succeeded_predecessor;
           Alcotest.test_case "malformed ids reported" `Quick
             test_validate_attempts_reports_malformed_ids;
+          Alcotest.test_case "zero-length placement frees processors" `Quick
+            test_validate_zero_length_placement_frees_processors;
         ] );
       ( "malleable",
         [ qt prop_malleable_phases_unchanged ] );
       ("processor ids", [ qt prop_freeze_ids_match_naive_scan ]);
+      ( "validate vs oracle",
+        [
+          qt prop_validators_on_real_runs;
+          qt prop_validators_on_faults;
+          qt prop_validators_on_back_to_back;
+        ] );
     ]
